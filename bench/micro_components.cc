@@ -1,8 +1,9 @@
 // Google-benchmark micro benchmarks for the load-bearing components: zipf
 // sampling, the delegation hash table's fast paths, request queue ops, EBR
-// guard overhead, the sequential Stream Summary, and the spinlock. Run in
-// Release mode; absolute numbers are machine-specific, relative costs are
-// what matters (e.g. Delegate ~= a hash probe + one fetch_add).
+// guard overhead, the sequential Stream Summary, the spinlock, the CoTS
+// engine's single and batched (coalescing) offer paths, and the sketches.
+// Run in Release mode; absolute numbers are machine-specific, relative
+// costs are what matters (e.g. Delegate ~= a hash probe + one fetch_add).
 
 #include <benchmark/benchmark.h>
 
@@ -147,11 +148,10 @@ void BM_CotsOfferSingleThread(benchmark::State& state) {
 }
 BENCHMARK(BM_CotsOfferSingleThread)->Arg(15)->Arg(30);
 
-// The batched ingest pipeline: batch size x prefetch distance x coalescing.
-// Args: {alpha*10, batch_size, prefetch_distance, coalesce}. The stream is
-// pre-materialized so the generator cost stays out of the loop; items
-// processed counts stream elements, so rates are directly comparable with
-// BM_CotsOfferSingleThread.
+// The batched, coalescing ingest pipeline. Args: {alpha*10, batch_size}.
+// Each batch is generated with timing paused so the generator cost stays
+// out of the loop; items processed counts stream elements, so rates are
+// directly comparable with BM_CotsOfferSingleThread.
 void BM_CotsOfferBatchPipeline(benchmark::State& state) {
   CotsSpaceSavingOptions opt;
   opt.capacity = 1000;
@@ -164,32 +164,23 @@ void BM_CotsOfferBatchPipeline(benchmark::State& state) {
   ZipfGenerator gen(zopt);
   const size_t batch_size = static_cast<size_t>(state.range(1));
   std::vector<ElementId> batch(batch_size);
-  BatchIngestOptions options;
-  options.prefetch_distance = static_cast<size_t>(state.range(2));
-  options.coalesce = state.range(3) != 0;
   for (auto _ : state) {
     state.PauseTiming();
     for (ElementId& e : batch) e = gen.Next();
     state.ResumeTiming();
-    handle->OfferBatch(batch.data(), batch.size(), options);
+    handle->OfferBatch(batch.data(), batch.size());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(batch_size));
 }
 BENCHMARK(BM_CotsOfferBatchPipeline)
-    // Batch size sweep at the headline skew (prefetch 8, coalescing on).
-    ->Args({15, 16, 8, 1})
-    ->Args({15, 64, 8, 1})
-    ->Args({15, 256, 8, 1})
-    // Prefetch distance sweep at batch 256.
-    ->Args({15, 256, 0, 1})
-    ->Args({15, 256, 4, 1})
-    ->Args({15, 256, 16, 1})
-    // Coalescing off: isolates the prefetch win (and at low skew, where
-    // coalescing rarely merges anything, its bookkeeping cost).
-    ->Args({15, 256, 8, 0})
-    ->Args({11, 256, 8, 1})
-    ->Args({11, 256, 8, 0});
+    // Batch size sweep at the headline skew.
+    ->Args({15, 16})
+    ->Args({15, 64})
+    ->Args({15, 256})
+    // Low skew, where coalescing rarely merges anything: its bookkeeping
+    // cost.
+    ->Args({11, 256});
 
 void BM_CountMinOffer(benchmark::State& state) {
   CountMinSketchOptions opt;

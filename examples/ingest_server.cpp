@@ -3,7 +3,7 @@
 // wire protocol (a raw stream of little-endian uint64 element ids, no
 // framing), accumulates per-connection batches, and feeds them to the
 // fleet through OfferBatchBounded — so the network path reuses the same
-// prefetch + coalescing ingest pipeline as the in-process benches, and a
+// coalescing ingest pipeline as the in-process benches, and a
 // batch either lands on its shards in full or is refused in full.
 //
 //   ./ingest_server --port=7171 --shards=4 --capacity=1000

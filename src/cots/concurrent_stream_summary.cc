@@ -9,7 +9,6 @@
 
 #include "util/failpoint.h"
 #include "util/metrics.h"
-#include "util/spinlock.h"
 #include "util/trace.h"
 
 namespace cots {
@@ -33,9 +32,6 @@ ConcurrentStreamSummary::ConcurrentStreamSummary(
       ring_capacity_(options.request_ring_capacity != 0
                          ? options.request_ring_capacity
                          : RequestQueue::kDefaultRingCapacity),
-      pool_(options.layout == SummaryLayout::kFlat
-                ? std::make_unique<SummaryNodePool>(options.capacity)
-                : nullptr),
       sentinel_(new FreqBucket(0, ring_capacity_)),
       table_(table),
       epochs_(epochs) {
@@ -43,51 +39,22 @@ ConcurrentStreamSummary::ConcurrentStreamSummary(
 }
 
 ConcurrentStreamSummary::~ConcurrentStreamSummary() {
-  // Retired pool nodes sitting in EBR hold deleters that dereference pool_;
-  // run them now, while the pool is alive. No reader can be active during
-  // destruction, so this is the sanctioned DrainAll window (a no-op when
-  // the owning engine already drained in its own destructor).
+  // Reclaim what this summary retired into EBR before freeing the live
+  // list, so nothing it allocated outlives it. No reader can be active
+  // during destruction, so this is the sanctioned DrainAll window (a no-op
+  // when the owning engine already drained in its own destructor).
   epochs_->DrainAll();
   FreqBucket* b = sentinel_;
   while (b != nullptr) {
     SummaryNode* n = b->head.load(std::memory_order_relaxed);
     while (n != nullptr) {
       SummaryNode* next = n->next.load(std::memory_order_relaxed);
-      // Slab nodes die with the pool; only heap(-fallback) nodes are freed
-      // here.
-      if (pool_ == nullptr || !pool_->Owns(n)) delete n;
+      delete n;
       n = next;
     }
     FreqBucket* next = b->next.load(std::memory_order_relaxed);
     delete b;
     b = next;
-  }
-}
-
-SummaryNode* ConcurrentStreamSummary::AllocateNode() {
-  if (pool_ != nullptr) {
-    if (SummaryNode* n = pool_->Allocate()) return n;
-    // Slab and free list exhausted (Lossy Counting can hold freed nodes in
-    // EBR limbo past capacity); fall back to the heap, marked pool-less so
-    // reclamation routes back to `delete`.
-    COTS_COUNTER_INC("summary.node_pool_exhausted");
-  }
-  return new SummaryNode;
-}
-
-namespace {
-void ReturnNodeToPool(void* p) {
-  auto* node = static_cast<SummaryNode*>(p);
-  static_cast<SummaryNodePool*>(node->pool)->Free(node);
-}
-}  // namespace
-
-void ConcurrentStreamSummary::RetireNode(EpochParticipant* participant,
-                                         SummaryNode* node) {
-  if (node->pool != nullptr) {
-    participant->RetireRaw(node, &ReturnNodeToPool);
-  } else {
-    participant->Retire(node);
   }
 }
 
@@ -480,7 +447,7 @@ bool ConcurrentStreamSummary::ProcessRequest(FreqBucket* bucket,
           DetachNode(bucket, n);
           monitored_.fetch_sub(1, std::memory_order_acq_rel);
           // Queries may still be walking over the node; retire, not delete.
-          RetireNode(ctx->participant, n);
+          ctx->participant->Retire(n);
         }
         n = next;
       }
@@ -642,7 +609,7 @@ void ConcurrentStreamSummary::CrossBoundary(DelegationHashTable::Entry* entry,
   Request request;
   if (newly_inserted) {
     if (TryAdmit()) {
-      SummaryNode* node = AllocateNode();
+      auto* node = new SummaryNode;
       node->key = entry->key;
       node->freq = delta + initial_error;
       node->error = initial_error;

@@ -4,6 +4,7 @@
 #include <thread>
 
 #include "core/published_view.h"
+#include "cots/inflight_scope.h"
 #include "util/failpoint.h"
 #include "util/metrics.h"
 #include "util/thread_utils.h"
@@ -12,20 +13,6 @@
 namespace cots {
 
 namespace {
-
-/// Fleet-level copy of the engine's offer bracket (see cots_space_saving.cc):
-/// seq_cst entry increment + state check versus Stop()'s seq_cst Draining
-/// CAS + inflight wait form the same Dekker handshake one level up.
-class InflightScope {
- public:
-  explicit InflightScope(std::atomic<uint64_t>* counter) : counter_(counter) {
-    counter_->fetch_add(1, std::memory_order_seq_cst);
-  }
-  ~InflightScope() { counter_->fetch_sub(1, std::memory_order_release); }
-
- private:
-  std::atomic<uint64_t>* counter_;
-};
 
 // Full murmur3 finalizer (both multiplies), unlike the engines' in-table
 // BucketFor which gets away with one. ShardOf takes the product's HIGH
@@ -272,11 +259,8 @@ CounterSet CotsFleet::GlobalView() const {
     sheds.push_back(shard->shed_weight());
     mins.push_back(shard->MinFreq());
   }
-  return options_.hierarchical_merge
-             ? MergeHierarchical(views, mins, options_.merge_capacity,
-                                 MergeMode::kDisjoint, &sheds)
-             : MergeSerial(views, mins, options_.merge_capacity,
-                           MergeMode::kDisjoint, &sheds);
+  return MergeSerial(views, mins, options_.merge_capacity,
+                     MergeMode::kDisjoint, &sheds);
 }
 
 bool CotsFleet::Shed(const ElementId* elements, size_t count) {

@@ -57,10 +57,6 @@ struct CotsFleetOptions {
   CotsSpaceSavingOptions engine;
   /// Counters retained by merged global views; 0 = engine.capacity.
   size_t merge_capacity = 0;
-  /// Fold shard summaries with the tree merge instead of the serial fold.
-  /// Off by default: with shard counts in the single digits the serial
-  /// fold wins (the paper's hierarchical-merge result, Section 4.1).
-  bool hierarchical_merge = false;
   /// Fleet-level occurrences between automatic published-view refreshes
   /// (DESIGN.md §11): every interval, the offering thread folds the shards
   /// into one immutable global view (merged counters + summed stream
@@ -99,7 +95,7 @@ class CotsFleet : public FrequencySummary {
 
     /// Routes the batch into per-shard buffers and dispatches one engine
     /// OfferBatch per touched shard (the shard batch inherits the engine's
-    /// prefetch + coalescing pipeline). All-or-nothing against Stop():
+    /// in-batch coalescing). All-or-nothing against Stop():
     /// the fleet-level handshake is taken once for the whole batch, so
     /// either every element is counted on its shard or the batch is
     /// refused in full — shards are never left half-applied. Buffers are

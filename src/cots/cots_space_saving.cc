@@ -5,32 +5,11 @@
 #include <thread>
 
 #include "core/published_view.h"
+#include "cots/inflight_scope.h"
 #include "util/failpoint.h"
 #include "util/trace.h"
 
 namespace cots {
-
-namespace {
-
-/// Brackets one offer for Stop()'s quiescence protocol. The entry increment
-/// is seq_cst: paired with the offer's subsequent state check and Stop()'s
-/// seq_cst Draining-store / inflight-load, it forms a Dekker handshake —
-/// either the offer observes Draining and refuses without mutating, or
-/// Stop() observes the increment and waits the offer out. The release on
-/// exit pairs with Stop()'s acquire load so every effect of completed
-/// offers is visible to its sweep.
-class InflightScope {
- public:
-  explicit InflightScope(std::atomic<uint64_t>* counter) : counter_(counter) {
-    counter_->fetch_add(1, std::memory_order_seq_cst);
-  }
-  ~InflightScope() { counter_->fetch_sub(1, std::memory_order_release); }
-
- private:
-  std::atomic<uint64_t>* counter_;
-};
-
-}  // namespace
 
 Status CotsSpaceSavingOptions::Validate() {
   if (capacity == 0) {
@@ -67,7 +46,6 @@ ConcurrentStreamSummaryOptions SummaryOptions(
   ConcurrentStreamSummaryOptions sopt;
   sopt.capacity = opt.capacity;
   sopt.request_ring_capacity = opt.request_ring_capacity;
-  sopt.layout = opt.layout;
   return sopt;
 }
 
@@ -101,7 +79,7 @@ CotsSpaceSaving::CotsSpaceSaving(const CotsSpaceSavingOptions& options)
 
 CotsSpaceSaving::CotsSpaceSaving(const CotsSpaceSavingOptions& options,
                                  ValidatedTag)
-    : epochs_(options.max_threads, options.ebr_forced_advance_backlog),
+    : epochs_(options.max_threads),
       table_(TableOptions(options), &epochs_),
       summary_(SummaryOptions(options), &table_, &epochs_),
       view_refresh_interval_(options.view_refresh_interval) {
@@ -232,59 +210,39 @@ OfferOutcome CotsSpaceSaving::ThreadHandle::OfferBatchBounded(
   engine_->n_.fetch_add(count, std::memory_order_relaxed);
   {
     EpochGuard guard(participant_);
-
-    if (!options.coalesce) {
-      // Uncoalesced pipeline: prefetch hash buckets a fixed distance ahead
-      // so Delegate's dependent-load walk overlaps across elements.
-      const size_t dist = options.prefetch_distance;
-      for (size_t i = 0; i < count; ++i) {
-        if (dist != 0 && i + dist < count) {
-          engine_->table_.PrefetchBucket(elements[i + dist]);
+    // Coalesce duplicate keys inside the batch into (key, weight) lumps,
+    // preserving first-occurrence order. The stamped index makes the
+    // per-batch reset O(1) instead of O(table).
+    const size_t want_slots = RoundUpPowerOfTwo(count * 2);
+    if (coalesce_slots_.size() < want_slots) {
+      coalesce_slots_.assign(want_slots, CoalesceSlot{});
+    }
+    const size_t mask = coalesce_slots_.size() - 1;
+    const uint64_t stamp = ++coalesce_stamp_;
+    coalesced_.clear();
+    for (size_t i = 0; i < count; ++i) {
+      const ElementId e = elements[i];
+      size_t slot = static_cast<size_t>(MixKey(e)) & mask;
+      for (;;) {
+        CoalesceSlot& s = coalesce_slots_[slot];
+        if (s.stamp != stamp) {
+          s.stamp = stamp;
+          s.index = static_cast<uint32_t>(coalesced_.size());
+          coalesced_.emplace_back(e, uint64_t{1});
+          break;
         }
-        OfferGuarded(elements[i], 1);
-      }
-    } else {
-      // Coalesce duplicate keys inside the batch window into (key, weight)
-      // lumps, preserving first-occurrence order. The stamped index makes
-      // the per-batch reset O(1) instead of O(table).
-      const size_t want_slots = RoundUpPowerOfTwo(count * 2);
-      if (coalesce_slots_.size() < want_slots) {
-        coalesce_slots_.assign(want_slots, CoalesceSlot{});
-      }
-      const size_t mask = coalesce_slots_.size() - 1;
-      const uint64_t stamp = ++coalesce_stamp_;
-      coalesced_.clear();
-      for (size_t i = 0; i < count; ++i) {
-        const ElementId e = elements[i];
-        size_t slot = static_cast<size_t>(MixKey(e)) & mask;
-        for (;;) {
-          CoalesceSlot& s = coalesce_slots_[slot];
-          if (s.stamp != stamp) {
-            s.stamp = stamp;
-            s.index = static_cast<uint32_t>(coalesced_.size());
-            coalesced_.emplace_back(e, uint64_t{1});
-            break;
-          }
-          if (coalesced_[s.index].first == e) {
-            ++coalesced_[s.index].second;
-            break;
-          }
-          slot = (slot + 1) & mask;  // linear probe
+        if (coalesced_[s.index].first == e) {
+          ++coalesced_[s.index].second;
+          break;
         }
-      }
-      COTS_COUNTER_ADD("ingest.coalesce_hits",
-                       static_cast<uint64_t>(count - coalesced_.size()));
-      COTS_HISTOGRAM_RECORD("ingest.batch_distinct", coalesced_.size());
-
-      const size_t dist = options.prefetch_distance;
-      const size_t distinct = coalesced_.size();
-      for (size_t i = 0; i < distinct; ++i) {
-        if (dist != 0 && i + dist < distinct) {
-          engine_->table_.PrefetchBucket(coalesced_[i + dist].first);
-        }
-        OfferGuarded(coalesced_[i].first, coalesced_[i].second);
+        slot = (slot + 1) & mask;  // linear probe
       }
     }
+    COTS_COUNTER_ADD("ingest.coalesce_hits",
+                     static_cast<uint64_t>(count - coalesced_.size()));
+    COTS_HISTOGRAM_RECORD("ingest.batch_distinct", coalesced_.size());
+
+    for (const auto& [key, weight] : coalesced_) OfferGuarded(key, weight);
   }
   // Outside the guard (see Offer); batch epoch pins are already the
   // reclamation long pole, so the refresh must not extend them.

@@ -39,10 +39,8 @@
 
 namespace cots {
 
-/// Knobs for the batched ingest pipeline (ThreadHandle::OfferBatch). The
-/// defaults are what every engine user gets; the bench family
-/// micro_components sweeps them (batch size x prefetch distance x
-/// coalescing on/off) to justify the numbers.
+/// Knobs for the batched ingest pipeline (ThreadHandle::OfferBatchBounded).
+/// The defaults are what every engine user gets.
 struct BatchIngestOptions {
   /// The batch depth callers are expected to feed OfferBatch in steady
   /// state (the bench loops and the fleet's shard buffers use exactly
@@ -53,17 +51,6 @@ struct BatchIngestOptions {
   /// spill list (see CotsSpaceSavingOptions::request_ring_capacity).
   static constexpr size_t kDefaultBatchDepth = 512;
 
-  /// How many elements ahead of the cursor to prefetch hash buckets for;
-  /// 0 disables prefetching. ~8 covers an L2 miss at typical per-element
-  /// processing cost.
-  size_t prefetch_distance = 8;
-  /// Coalesce duplicate keys inside the batch window into one weighted
-  /// offer. On skewed streams this collapses most delegation traffic into
-  /// single weighted fetch_add lumps; occurrences of a key apply at its
-  /// first position in the window (order inside one window is not
-  /// preserved, which matches the engine's concurrent semantics — a
-  /// delegated lump already lands as one bulk increment).
-  bool coalesce = true;
   /// Overload deadline budget, in overflow spills per batch (DESIGN.md
   /// §13): if more than this many requests divert to the elastic overflow
   /// path while the batch lands, OfferBatchBounded reports
@@ -105,19 +92,6 @@ struct CotsSpaceSavingOptions {
   /// lock-free overflow spill list, which is the designed elastic path,
   /// not an error.
   size_t request_ring_capacity = 0;
-  /// Summary node layout (core/counter.h): kFlat pre-allocates every
-  /// SummaryNode in one contiguous per-engine slab (SummaryNodePool) so
-  /// admission never mallocs and a fleet of many small shards costs one
-  /// allocation each instead of `capacity` — the knob that makes shard
-  /// counts ≫ cores affordable. kLinked (default) heap-allocates nodes as
-  /// the paper's structure does. Guarantees are identical.
-  SummaryLayout layout = SummaryLayout::kLinked;
-  /// Per-participant EBR retire backlog beyond which every Retire()
-  /// attempts a forced epoch advance (util/ebr.h). 0 = the library default
-  /// (EpochParticipant::kDefaultForcedAdvanceBacklog). Lower it when
-  /// reclamation latency matters more than advance overhead — e.g. many
-  /// small shards where a parked laggard's backlog is capacity-sized.
-  size_t ebr_forced_advance_backlog = 0;
   /// Offers between automatic published-view refreshes (DESIGN.md §11).
   /// Every `view_refresh_interval` counted occurrences, the offering thread
   /// rebuilds the immutable query view and publishes it; point queries then
@@ -157,21 +131,19 @@ class CotsSpaceSaving : public FrequencySummary {
     /// ingest loop on the first false.
     bool Offer(ElementId e, uint64_t weight = 1);
 
-    /// Processes `count` elements as one pipelined batch: a single stream-
-    /// length add and epoch pin for the whole batch, duplicate keys
-    /// coalesced into weighted offers, and hash buckets prefetched a fixed
-    /// distance ahead of the cursor (see BatchIngestOptions). Keep batches
-    /// modest (hundreds to a few thousand): the epoch is pinned for the
-    /// whole batch, which delays memory reclamation. Returns false — with
-    /// the whole batch refused, nothing counted — once Stop() has begun
-    /// (see Offer).
+    /// Processes `count` elements as one batch: a single stream-length add
+    /// and epoch pin for the whole batch, with duplicate keys in the batch
+    /// coalesced into one weighted offer each. On skewed streams this
+    /// collapses most delegation traffic into single weighted fetch_add
+    /// lumps; occurrences of a key apply at its first position in the
+    /// batch (order inside one batch is not preserved, which matches the
+    /// engine's concurrent semantics — a delegated lump already lands as
+    /// one bulk increment). Keep batches modest (hundreds to a few
+    /// thousand): the epoch is pinned for the whole batch, which delays
+    /// memory reclamation. Returns false — with the whole batch refused,
+    /// nothing counted — once Stop() has begun (see Offer).
     bool OfferBatch(const ElementId* elements, size_t count) {
-      return OfferBatch(elements, count, BatchIngestOptions{});
-    }
-    bool OfferBatch(const ElementId* elements, size_t count,
-                    const BatchIngestOptions& options) {
-      return OfferBatchBounded(elements, count, options) !=
-             OfferOutcome::kRefused;
+      return OfferBatchBounded(elements, count) != OfferOutcome::kRefused;
     }
 
     /// OfferBatch with the overload deadline surfaced (DESIGN.md §13):

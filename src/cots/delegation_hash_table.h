@@ -113,22 +113,6 @@ class DelegationHashTable {
   /// entry or nullptr.
   Entry* Find(ElementId e) const;
 
-  /// Ingest-pipeline hook: issues software prefetches for e's bucket head
-  /// and (when already linked) its first chain block. The batched offer
-  /// path calls this a fixed distance ahead of the cursor so the dependent
-  /// hash walk of Delegate(e) overlaps with earlier elements instead of
-  /// serializing on cache misses. Cheap, non-faulting, safe without an
-  /// epoch guard: only lines are touched, no entry state is read.
-  void PrefetchBucket(ElementId e) const {
-    const BucketHead& bucket = BucketFor(e);
-    COTS_PREFETCH_READ(&bucket);
-    // Dependent prefetch: the head load retires without stalling and the
-    // block prefetch issues as soon as its address resolves, still well
-    // ahead of the walk in Delegate.
-    Block* first = bucket.head.load(std::memory_order_relaxed);
-    if (first != nullptr) COTS_PREFETCH_READ(first);
-  }
-
   /// Visits every live entry (inside an epoch guard); used by tests and
   /// the destructor-time audit, not by the hot path.
   template <typename Fn>

@@ -26,16 +26,4 @@ inline constexpr std::size_t kCacheLineSize = 64;
 /// Aligns a type or member to a cache-line boundary to avoid false sharing.
 #define COTS_CACHE_ALIGNED alignas(::cots::kCacheLineSize)
 
-/// Software prefetch into the cache for an upcoming read (or write). The
-/// batched ingest pipeline issues these a fixed distance ahead of the
-/// cursor so dependent-load hash walks overlap instead of serializing.
-/// Non-faulting on every target; a no-op where the intrinsic is missing.
-#if defined(__GNUC__) || defined(__clang__)
-#define COTS_PREFETCH_READ(addr) __builtin_prefetch((addr), 0, 3)
-#define COTS_PREFETCH_WRITE(addr) __builtin_prefetch((addr), 1, 3)
-#else
-#define COTS_PREFETCH_READ(addr) ((void)(addr))
-#define COTS_PREFETCH_WRITE(addr) ((void)(addr))
-#endif
-
 #endif  // COTS_UTIL_MACROS_H_

@@ -4,11 +4,13 @@
 
 #include <thread>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "core/lossy_counting.h"
 #include "stream/exact_counter.h"
 #include "stream/zipf_generator.h"
+#include "util/random.h"
 
 namespace cots {
 namespace {
@@ -131,6 +133,52 @@ TEST(CotsLossyCountingTest, SpaceStaysBoundedUnderChurn) {
   for (ElementId e : MakeRoundRobinStream(100000, 5000)) handle->Offer(e);
   EXPECT_LE(engine.num_counters(), 1200u);
   EXPECT_TRUE(engine.CheckInvariantsQuiescent());
+}
+
+// Uniform churn: round-boundary eviction retires summary nodes continuously
+// while three threads re-admit them. Estimates must stay within the Lossy
+// Counting bound throughout.
+TEST(CotsLossyCountingTest, ConcurrentChurnRecyclesNodesWithinBounds) {
+  CotsLossyCountingOptions opt;
+  opt.epsilon = 0.01;  // width 100: eviction sweeps every 100 offers
+  ASSERT_TRUE(opt.Validate().ok());
+  CotsLossyCounting engine(opt);
+
+  constexpr int kThreads = 3;
+  constexpr uint64_t kOps = 30000;
+  std::vector<std::unordered_map<ElementId, uint64_t>> truths(kThreads);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      auto handle = engine.RegisterThread();
+      ASSERT_NE(handle, nullptr);
+      Xoshiro256 rng(77 + static_cast<uint64_t>(t));
+      for (uint64_t i = 0; i < kOps; ++i) {
+        const ElementId e = 1 + rng.NextBounded(2000);
+        handle->Offer(e);
+        ++truths[static_cast<size_t>(t)][e];
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+
+  std::unordered_map<ElementId, uint64_t> truth;
+  for (const auto& partial : truths) {
+    for (const auto& [key, count] : partial) truth[key] += count;
+  }
+  const uint64_t n = engine.stream_length();
+  EXPECT_EQ(n, kThreads * kOps);
+  EXPECT_GT(engine.rounds_completed(), 0u);
+  // Lossy Counting: estimate never under-counts by more than error, and
+  // error stays within delta = floor(N / width).
+  const uint64_t delta = n / engine.bucket_width();
+  for (const Counter& c : engine.CountersDescending()) {
+    const uint64_t exact = truth.count(c.key) != 0 ? truth[c.key] : 0;
+    EXPECT_LE(exact, c.count + delta) << "key " << c.key;
+    EXPECT_LE(c.count, exact + c.error) << "key " << c.key;
+  }
+  std::string why;
+  EXPECT_TRUE(engine.CheckInvariantsQuiescent(&why)) << why;
 }
 
 TEST(CotsLossyCountingTest, MatchesSequentialRecall) {

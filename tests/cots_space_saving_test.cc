@@ -5,10 +5,13 @@
 #include <algorithm>
 #include <thread>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "stream/exact_counter.h"
 #include "stream/zipf_generator.h"
+#include "support/invariants.h"
+#include "util/random.h"
 
 namespace cots {
 namespace {
@@ -176,21 +179,9 @@ TEST_P(CotsStressTest, GuaranteesHoldUnderConcurrency) {
   ASSERT_TRUE(engine.CheckInvariantsQuiescent(&why)) << why;
   EXPECT_EQ(engine.stream_length(), n);
 
-  // P2: per-element bounds vs ground truth.
-  ExactCounter exact(s);
-  for (const Counter& c : engine.CountersDescending()) {
-    const uint64_t truth = exact.Count(c.key);
-    EXPECT_LE(truth, c.count) << "key " << c.key;
-    EXPECT_LE(c.count, truth + c.error) << "key " << c.key;
-  }
-
-  // P3/P4: frequent elements above N/m are monitored.
-  for (const auto& [key, truth] : exact.counts()) {
-    if (truth > n / capacity) {
-      EXPECT_TRUE(engine.Lookup(key).has_value())
-          << "key " << key << " freq " << truth;
-    }
-  }
+  // P2-P4: per-element bounds vs ground truth; frequent elements above N/m
+  // are monitored.
+  EXPECT_TRUE(SpaceSavingGuaranteesHold(ReportOf(engine), ExactCounter(s)));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -322,15 +313,14 @@ TEST(CotsSpaceSavingTest, StatsReflectDelegation) {
 // Coalescing applies a window's duplicate occurrences at the key's first
 // position, which reorders *within* a batch window. Below capacity no
 // eviction ever happens and counting is order-independent, so batch ingest
-// must match element-at-a-time ingest EXACTLY for any pipeline knobs. Above
+// must match element-at-a-time ingest EXACTLY for any batch size. Above
 // capacity, eviction choices are order-sensitive, so equivalence is the
 // Space Saving epsilon guarantee, which holds for every arrival order.
 
-void IngestBatched(CotsSpaceSaving* engine, const Stream& s, size_t batch,
-                   const BatchIngestOptions& options) {
+void IngestBatched(CotsSpaceSaving* engine, const Stream& s, size_t batch) {
   auto handle = engine->RegisterThread();
   for (size_t i = 0; i < s.size(); i += batch) {
-    handle->OfferBatch(s.data() + i, std::min(batch, s.size() - i), options);
+    handle->OfferBatch(s.data() + i, std::min(batch, s.size() - i));
   }
 }
 
@@ -380,24 +370,17 @@ TEST(CotsSpaceSavingTest, OfferBatchMatchesLoopNoEviction) {
       {"uniform", MakeUniformStream(20000, 400, 99)},
       {"adversarial-dup", MakeAdversarialDuplicateStream(20000)},
   };
-  // Sweep the pipeline knobs: default, coalescing off, prefetch off, both
-  // off (plain loop), and an oversized distance.
-  const BatchIngestOptions kKnobs[] = {
-      {},
-      {.prefetch_distance = 0, .coalesce = true},
-      {.prefetch_distance = 8, .coalesce = false},
-      {.prefetch_distance = 0, .coalesce = false},
-      {.prefetch_distance = 64, .coalesce = true},
-  };
+  // Batch sizes from a single element (nothing to coalesce) through odd,
+  // default-depth and far-oversized windows.
+  const size_t kBatchSizes[] = {
+      1, 7, 256, BatchIngestOptions::kDefaultBatchDepth, 4096};
   for (const auto& [name, s] : streams) {
     CotsSpaceSaving looped(MakeOptions(2048));  // capacity > alphabet
     IngestLooped(&looped, s);
-    for (const BatchIngestOptions& knobs : kKnobs) {
-      SCOPED_TRACE(testing::Message()
-                   << name << " dist=" << knobs.prefetch_distance
-                   << " coalesce=" << knobs.coalesce);
+    for (size_t batch : kBatchSizes) {
+      SCOPED_TRACE(testing::Message() << name << " batch=" << batch);
       CotsSpaceSaving batched(MakeOptions(2048));
-      IngestBatched(&batched, s, 256, knobs);
+      IngestBatched(&batched, s, batch);
       ExpectExactMatch(batched, looped);
     }
   }
@@ -415,26 +398,13 @@ TEST(CotsSpaceSavingTest, OfferBatchKeepsSpaceSavingBoundsUnderEviction) {
   constexpr size_t kCapacity = 32;
   for (const auto& [name, s] : streams) {
     SCOPED_TRACE(name);
-    ExactCounter exact(s);
     CotsSpaceSaving batched(MakeOptions(kCapacity));
-    IngestBatched(&batched, s, 256, BatchIngestOptions{});
+    IngestBatched(&batched, s, 256);
     std::string why;
     ASSERT_TRUE(batched.CheckInvariantsQuiescent(&why)) << why;
-    EXPECT_EQ(batched.stream_length(), s.size());
-    // Space Saving guarantees, independent of arrival order: estimates
-    // overcount by at most `error`, and error <= N / m.
-    const uint64_t eps_bound = s.size() / kCapacity;
-    for (const Counter& c : batched.CountersDescending()) {
-      const uint64_t truth = exact.Count(c.key);
-      EXPECT_GE(c.count, truth) << "undercount for key " << c.key;
-      EXPECT_LE(c.count - c.error, truth) << "bad lower bound " << c.key;
-      EXPECT_LE(c.error, eps_bound) << "error above N/m for key " << c.key;
-    }
-    // Every true heavy hitter (count > N/m) must be monitored.
-    for (ElementId hh : exact.FrequentElements(eps_bound)) {
-      EXPECT_TRUE(batched.Lookup(hh).has_value())
-          << "missing heavy hitter " << hh;
-    }
+    // Space Saving guarantees, independent of arrival order (coverage
+    // includes every true heavy hitter, count > N/m, being monitored).
+    EXPECT_TRUE(SpaceSavingGuaranteesHold(ReportOf(batched), ExactCounter(s)));
   }
 }
 
@@ -462,6 +432,38 @@ TEST(CotsSpaceSavingTest, OfferBatchConcurrent) {
   std::string why;
   ASSERT_TRUE(engine.CheckInvariantsQuiescent(&why)) << why;
   EXPECT_EQ(engine.stream_length(), s.size());
+}
+
+// Uniform churn over a key space far above capacity, four threads, then
+// Stop(): every offered occurrence is conserved and the guarantees hold.
+TEST(CotsSpaceSavingTest, ConcurrentUniformChurnConservesCounts) {
+  CotsSpaceSaving engine(MakeOptions(64));
+  constexpr int kThreads = 4;
+  constexpr uint64_t kOps = 20000;
+  std::vector<std::unordered_map<ElementId, uint64_t>> truths(kThreads);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      auto handle = engine.RegisterThread();
+      ASSERT_NE(handle, nullptr);
+      Xoshiro256 rng(1000 + static_cast<uint64_t>(t));
+      for (uint64_t i = 0; i < kOps; ++i) {
+        const ElementId e = 1 + rng.NextBounded(4000);
+        ASSERT_TRUE(handle->Offer(e));
+        ++truths[static_cast<size_t>(t)][e];
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  engine.Stop();
+
+  ExactCounter truth;
+  for (const auto& partial : truths) {
+    for (const auto& [key, count] : partial) truth.Offer(key, count);
+  }
+  EXPECT_TRUE(SpaceSavingGuaranteesHold(ReportOf(engine), truth));
+  std::string why;
+  EXPECT_TRUE(engine.CheckInvariantsQuiescent(&why)) << why;
 }
 
 TEST(CotsSpaceSavingTest, CapacityOneDegenerate) {

@@ -22,9 +22,10 @@ directly (their ratio isolates the flat victim-scan cost), and the mean
 smooths the per-row noise of millisecond-scale CI measurements — losing
 SIMD or a scan regression moves every alpha together, which the mean
 catches, while one noisy row does not trip it. Per-row ratios are printed
-for diagnosis. The ``cots`` rows differ between layouts only by node-pool
-allocation, so their ratio is noise; they are reported but never gated
-unless ``--all-pairs`` switches to strict per-row gating of everything.
+for diagnosis. ``--all-pairs`` switches to strict per-row gating of every
+pair instead. The ``cots`` rows run the concurrent engine, which has no
+layout axis: they carry no layout tag and are never paired (older baselines
+may still hold flat ``cots`` rows; they are ignored).
 
 ``--absolute`` switches to raw rate comparison (current flat vs baseline
 flat) for same-machine use, e.g. re-running on the box that made the
