@@ -771,21 +771,22 @@ class IngestServer {
     if (it == connections_.end()) return;
     Connection& conn = it->second;
     conn.last_activity = SteadyClock::now();
+    // One read per readiness event: the registration is level-triggered,
+    // so unread bytes report ready again on the next epoll_wait, and a
+    // saturating client cannot starve the other connections or the stats
+    // endpoint.
     unsigned char buf[16384];
-    for (;;) {
-      const ssize_t r = ::read(fd, buf, sizeof(buf));
-      if (r > 0) {
-        Decode(&conn, buf, static_cast<size_t>(r), handle);
-        continue;
-      }
-      if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-      // Peer closed (or hard error): flush and drop the connection.
-      FlushPending(&conn, handle);
-      ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-      ::close(fd);
-      connections_.erase(it);
+    const ssize_t r = ::read(fd, buf, sizeof(buf));
+    if (r > 0) {
+      Decode(&conn, buf, static_cast<size_t>(r), handle);
       return;
     }
+    if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+    // Peer closed (or hard error): flush and drop the connection.
+    FlushPending(&conn, handle);
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
+    ::close(fd);
+    connections_.erase(it);
   }
 
   void Decode(Connection* conn, const unsigned char* data, size_t len,

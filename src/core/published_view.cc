@@ -18,26 +18,15 @@ size_t IndexCapacityFor(size_t n) {
 
 }  // namespace
 
-const PublishedView* PublishedView::Build(std::vector<Counter> counters,
-                                          uint64_t stream_length,
-                                          uint64_t min_freq,
-                                          uint64_t sequence,
-                                          uint64_t shed_weight) {
-  // Sort defensively: callers typically hand over CountersDescending output
-  // (already ordered), which std::sort handles in near-linear time, but the
-  // ladder and prefix queries are only correct on sorted input.
-  std::sort(counters.begin(), counters.end(),
-            [](const Counter& a, const Counter& b) {
-              if (a.count != b.count) return a.count > b.count;
-              return a.key < b.key;
-            });
-
+const PublishedView* PublishedView::Build(const CounterSet& snapshot,
+                                          uint64_t sequence) {
   auto* view = new PublishedView();
-  view->stream_length_ = stream_length;
-  view->min_freq_ = min_freq;
+  view->stream_length_ = snapshot.stream_length();
+  view->min_freq_ = snapshot.min_freq();
   view->sequence_ = sequence;
-  view->shed_weight_ = shed_weight;
+  view->shed_weight_ = snapshot.shed_weight();
 
+  const std::vector<Counter>& counters = snapshot.counters();
   const size_t n = counters.size();
   view->keys_.reserve(n);
   view->counts_.reserve(n);
@@ -54,8 +43,8 @@ const PublishedView* PublishedView::Build(std::vector<Counter> counters,
   for (size_t rank = 0; rank < n; ++rank) {
     size_t slot = static_cast<size_t>(Mix(view->keys_[rank])) & view->index_mask_;
     while (view->index_ranks_[slot] != kEmptySlot) {
-      // A key can appear at most once in a summary snapshot; duplicates
-      // would corrupt Rank(), so the merge/dedup must happen upstream.
+      // A key appears at most once in a CounterSet; a duplicate would
+      // corrupt Rank().
       assert(view->keys_[view->index_ranks_[slot]] != view->keys_[rank]);
       slot = (slot + 1) & view->index_mask_;
     }

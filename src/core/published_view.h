@@ -22,15 +22,8 @@
 //
 // All of it wait-free: the view is immutable, the probe is bounded by the
 // probe table's load factor, and there are no locks, retries, or sorts on
-// the read path. Readers pin reclamation (EBR for the concurrent engines)
-// around the pointer load; the superseded view is retired and freed only
-// after a full grace period.
-//
-// Staleness contract (DESIGN.md §11): a view reflects a state no older
-// than the instant its refresh began — every offer fully applied to the
-// summary before that instant is included, and `stream_length` was read at
-// that instant. Queries served from the view are therefore at most one
-// refresh interval behind the live structure.
+// the read path. cots/view_publisher.h publishes views and retires them
+// through EBR; DESIGN.md §11.3 states their staleness contract.
 
 #ifndef COTS_CORE_PUBLISHED_VIEW_H_
 #define COTS_CORE_PUBLISHED_VIEW_H_
@@ -40,25 +33,19 @@
 #include <vector>
 
 #include "core/counter.h"
+#include "core/summary_merge.h"
 #include "util/macros.h"
 
 namespace cots {
 
 class PublishedView {
  public:
-  /// Builds a view from any counter snapshot (sorted or not; Build sorts by
-  /// count descending, ties by key ascending — the FrequencySummary order).
-  /// `stream_length` and `min_freq` must be read at the start of the
-  /// refresh that produced `counters`; `sequence` is the publisher's
-  /// monotone refresh number (used by tests to order observations).
-  /// `shed_weight` is the cumulative load-shed weight absorbed by the
-  /// publisher (DESIGN.md §13); publishers fold it into every counter's
-  /// error and into `min_freq` BEFORE calling Build — the field here is
-  /// pure accounting so callers can reconstruct offered = counted + shed.
-  static const PublishedView* Build(std::vector<Counter> counters,
-                                    uint64_t stream_length, uint64_t min_freq,
-                                    uint64_t sequence,
-                                    uint64_t shed_weight = 0);
+  /// Copies a snapshot, already in CounterSet order and with its shed
+  /// weight folded into errors and min_freq (DESIGN.md §13); the view
+  /// keeps the shed weight for offered = counted + shed accounting.
+  /// `sequence` is the publisher's monotone refresh number.
+  static const PublishedView* Build(const CounterSet& snapshot,
+                                    uint64_t sequence);
 
   COTS_DISALLOW_COPY_AND_ASSIGN(PublishedView);
 
@@ -100,8 +87,8 @@ class PublishedView {
   std::vector<Counter> CountersDescending() const { return TopK(size()); }
 
   size_t size() const { return keys_.size(); }
-  /// Stream length N at the instant the refresh began (the fleet's
-  /// O(shards) atomic fold is paid here once, not per point query).
+  /// Stream length N, read after the counters (the fleet's O(shards)
+  /// atomic fold is paid here once, not per point query).
   uint64_t stream_length() const { return stream_length_; }
   /// Bound on any unmonitored element's frequency at refresh time.
   uint64_t min_freq() const { return min_freq_; }

@@ -14,13 +14,14 @@
 // amount of error) for the absent side. After truncation to capacity the
 // merged min_freq is raised to bound keys that were dropped.
 //
-// A second combine mode serves hash-partitioned summaries (the CoTS fleet):
-// when every key lives in exactly one part, an absent side has provably
-// counted the key zero times, so no min_freq inflation is added and the
-// bound on a fully unmonitored key composes by max (the key hashes to SOME
-// shard, and that shard's min_freq bounds it) instead of by sum. Disjoint
-// merges are therefore exact unions of the per-shard estimates — each key
-// keeps its home shard's error — and only truncation loosens them.
+// Hash-partitioned summaries (the CoTS fleet) need none of that: every key
+// lives in exactly one part, so an absent part has provably counted the key
+// zero times. MergeDisjoint therefore takes the plain union of the parts —
+// each key keeps its home part's estimate and error verbatim — and keeps
+// the top `capacity` counters. The bound on an unmonitored key composes by
+// max (the key hashes to SOME part, and that part's min_freq bounds it),
+// and only truncation loosens it (Cafaro et al.'s parallel Space Saving,
+// QPOPSS's partitioned counters).
 
 #ifndef COTS_CORE_SUMMARY_MERGE_H_
 #define COTS_CORE_SUMMARY_MERGE_H_
@@ -32,18 +33,6 @@
 #include "core/counter.h"
 
 namespace cots {
-
-/// How the key spaces of the parts being merged relate (see file comment).
-enum class MergeMode : uint8_t {
-  /// Every part may have seen every key (the Independent Structures
-  /// baseline): an absent side inflates estimate and error by its min_freq,
-  /// and unmonitored-key bounds compose by sum.
-  kOverlapping,
-  /// Keys are hash-partitioned so each key was routed to exactly one part
-  /// (the CoTS fleet): absent sides contribute nothing and unmonitored-key
-  /// bounds compose by max.
-  kDisjoint,
-};
 
 /// A self-contained merged summary: counters sorted by descending estimate.
 /// Also usable as a FrequencySummary for the query layer.
@@ -58,14 +47,17 @@ class CounterSet : public FrequencySummary {
   static CounterSet FromSummary(const FrequencySummary& summary,
                                 uint64_t min_freq);
 
-  /// Snapshot of a summary that shed `shed_weight` occurrences under
+  /// Snapshot of a live summary that shed `shed_weight` occurrences under
   /// overload (DESIGN.md §13). Every counter's error is widened by
   /// `shed_weight` — a shed occurrence of a monitored key is at most one
   /// missing increment, so [count - error', count + error'] stays a valid
   /// two-sided bound. `min_freq` must ALREADY include the shed weight
-  /// (engine MinFreq() folds it); it is not inflated again here.
-  static CounterSet FromShedSummary(const FrequencySummary& summary,
-                                    uint64_t min_freq, uint64_t shed_weight);
+  /// (engine MinFreq() folds it); it is not inflated again here. Read
+  /// `shed_weight` before `counters`, and `min_freq` and `n` after them
+  /// (DESIGN.md §11.3).
+  static CounterSet FromShedSummary(std::vector<Counter> counters,
+                                    uint64_t min_freq, uint64_t n,
+                                    uint64_t shed_weight);
 
   // FrequencySummary:
   std::optional<Counter> Lookup(ElementId e) const override;
@@ -92,20 +84,15 @@ class CounterSet : public FrequencySummary {
   uint64_t shed_weight_ = 0;
 };
 
-/// Pairwise combine, truncated to `capacity` counters (0 = unbounded).
+/// Pairwise combine of overlapping parts, truncated to `capacity`
+/// counters (0 = unbounded).
 CounterSet CombineCounterSets(const CounterSet& a, const CounterSet& b,
-                              size_t capacity,
-                              MergeMode mode = MergeMode::kOverlapping);
+                              size_t capacity);
 
-/// Left-to-right fold by a single thread. `shed_weights`, when non-null,
-/// gives each part's cumulative shed weight (same indexing as parts); each
-/// part is snapshotted via CounterSet::FromShedSummary so the merged
-/// bounds stay sound under load shedding. min_freqs must already include
-/// the shed weights (engine MinFreq() folds them).
+/// Left-to-right fold by a single thread.
 CounterSet MergeSerial(const std::vector<const FrequencySummary*>& parts,
-                       const std::vector<uint64_t>& min_freqs, size_t capacity,
-                       MergeMode mode = MergeMode::kOverlapping,
-                       const std::vector<uint64_t>* shed_weights = nullptr);
+                       const std::vector<uint64_t>& min_freqs,
+                       size_t capacity);
 
 /// Tree reduction; each level merges pairs concurrently using std::thread.
 /// With p parts this spawns ceil(p/2) threads per level over ceil(log2 p)
@@ -113,10 +100,15 @@ CounterSet MergeSerial(const std::vector<const FrequencySummary*>& parts,
 /// the paper blames for hierarchical merge not beating serial merge.
 CounterSet MergeHierarchical(const std::vector<const FrequencySummary*>& parts,
                              const std::vector<uint64_t>& min_freqs,
-                             size_t capacity,
-                             MergeMode mode = MergeMode::kOverlapping,
-                             const std::vector<uint64_t>* shed_weights =
-                                 nullptr);
+                             size_t capacity);
+
+/// Union of key-partitioned parts (shed already folded into each part's
+/// errors and min_freq), truncated to the top `capacity` counters
+/// (0 = unbounded). min_freq = max(part min_freqs, first dropped estimate +
+/// total shed): a dropped key's true count can exceed its estimate by its
+/// home part's shed weight, which the total covers.
+CounterSet MergeDisjoint(const std::vector<CounterSet>& parts,
+                         size_t capacity);
 
 }  // namespace cots
 

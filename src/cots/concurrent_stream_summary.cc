@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
+#include <utility>
 
 #include "util/failpoint.h"
 #include "util/metrics.h"
@@ -698,11 +699,49 @@ void ConcurrentStreamSummary::SweepStranded(EpochParticipant* participant) {
   }
 }
 
+namespace {
+
+// Compacts `items` to one entry per id, the one with the highest count,
+// in first-occurrence order; `id_count(item)` returns {id, count}. O(n): an
+// open-addressing index over ids whose probes nearly always end at once.
+template <typename T, typename IdCount>
+void KeepHighestPerId(std::vector<T>* items, IdCount id_count) {
+  constexpr uint32_t kEmpty = ~uint32_t{0};
+  size_t mask = 7;
+  while (mask < items->size() * 2) mask = mask * 2 + 1;
+  std::vector<uint32_t> slots(mask + 1, kEmpty);
+  uint32_t kept = 0;
+  for (const T& item : *items) {
+    const auto [id, count] = id_count(item);
+    uint64_t h = (id ^ (id >> 33)) * 0xff51afd7ed558ccdULL;  // murmur3 mix
+    size_t slot = static_cast<size_t>(h ^ (h >> 33)) & mask;
+    while (slots[slot] != kEmpty &&
+           id_count((*items)[slots[slot]]).first != id) {
+      slot = (slot + 1) & mask;
+    }
+    if (slots[slot] == kEmpty) {
+      slots[slot] = kept;
+      (*items)[kept++] = item;  // kept <= the current position
+    } else if (count > id_count((*items)[slots[slot]]).second) {
+      (*items)[slots[slot]] = item;
+    }
+  }
+  items->resize(kept);
+}
+
+}  // namespace
+
 std::vector<Counter> ConcurrentStreamSummary::CountersDescending(
     EpochParticipant* participant) const {
   EpochGuard guard(participant);
-  std::vector<Counter> out;
-  out.reserve(std::min(capacity_, size_t{65536}));
+  // Each reading remembers its node: an overwrite recycles the victim node
+  // in place, so one walk can read the same node as two different keys.
+  struct Reading {
+    const SummaryNode* node;
+    Counter counter;
+  };
+  std::vector<Reading> readings;
+  readings.reserve(std::min(capacity_, size_t{65536}));
   // Defensive bounds: concurrent relocation can make a traversal wander;
   // the structure never exceeds capacity live nodes.
   const size_t node_limit =
@@ -717,19 +756,19 @@ std::vector<Counter> ConcurrentStreamSummary::CountersDescending(
          n = n->next.load(std::memory_order_acquire), ++steps) {
       // Acquire field loads keep the validation read below ordered after
       // the segment reads without an atomic_thread_fence (see the helper).
-      out.push_back(Counter{AcquireFieldLoad(n->key),
-                            AcquireFieldLoad(n->freq),
-                            AcquireFieldLoad(n->error)});
+      readings.push_back(Reading{n, Counter{AcquireFieldLoad(n->key),
+                                            AcquireFieldLoad(n->freq),
+                                            AcquireFieldLoad(n->error)}});
     }
   };
   for (FreqBucket* b = sentinel_->next.load(std::memory_order_acquire);
-       b != nullptr && out.size() < node_limit;
+       b != nullptr && readings.size() < node_limit;
        b = b->next.load(std::memory_order_acquire)) {
     if (b->gc.load(std::memory_order_acquire)) continue;
     // Seqlock read lease: walk only while the version is even, and accept
     // the segment only if the version did not move — the segment then
     // matches a state the bucket actually passed through.
-    const size_t mark = out.size();
+    const size_t mark = readings.size();
     for (int attempt = 0;; ++attempt) {
       const uint64_t v1 = b->version.load(std::memory_order_acquire);
       if ((v1 & 1) == 0) {
@@ -738,7 +777,7 @@ std::vector<Counter> ConcurrentStreamSummary::CountersDescending(
         // loads, so this check cannot be reordered before any of them.
         if (b->version.load(std::memory_order_relaxed) == v1) break;
       }
-      out.resize(mark);  // torn segment: roll back this bucket and retry
+      readings.resize(mark);  // torn segment: roll back and retry
       if (attempt >= kLeaseRetries) {
         // Bucket under sustained mutation: one lease-less walk (every read
         // is still atomic — per-field values, not torn bytes) beats making
@@ -751,19 +790,22 @@ std::vector<Counter> ConcurrentStreamSummary::CountersDescending(
       std::this_thread::yield();
     }
   }
-  // Each bucket's segment is internally consistent, but an element that
-  // relocated mid-walk can appear in two segments (old and new frequency).
-  // Keep the higher estimate so each key maps to exactly one counter.
-  std::sort(out.begin(), out.end(), [](const Counter& a, const Counter& b) {
-    if (a.key != b.key) return a.key < b.key;
-    return a.count > b.count;
+  // One reading per node, the highest count. Nodes are not freed while the
+  // walk's epoch is pinned and a node's freq only grows, so the kept
+  // readings sum to at most the node counts at the end of the walk — never
+  // more than the stream length read after it (DESIGN.md §11.3).
+  KeepHighestPerId(&readings, [](const Reading& r) {
+    return std::pair{reinterpret_cast<uintptr_t>(r.node), r.counter.count};
   });
-  out.erase(std::unique(out.begin(), out.end(),
-                        [](const Counter& a, const Counter& b) {
-                          return a.key == b.key;
-                        }),
-            out.end());
-  // Ascending bucket order; flip and order ties deterministically.
+  std::vector<Counter> out;
+  out.reserve(readings.size());
+  for (const Reading& r : readings) out.push_back(r.counter);
+  // Each bucket's segment is internally consistent, but an element that
+  // relocated mid-walk can appear in two segments (old and new frequency),
+  // and one evicted and re-admitted mid-walk at two nodes. Keep the higher
+  // estimate so each key maps to exactly one counter.
+  KeepHighestPerId(&out,
+                   [](const Counter& c) { return std::pair{c.key, c.count}; });
   std::sort(out.begin(), out.end(), [](const Counter& a, const Counter& b) {
     if (a.count != b.count) return a.count > b.count;
     return a.key < b.key;

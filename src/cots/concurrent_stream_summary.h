@@ -230,10 +230,12 @@ class ConcurrentStreamSummary {
   /// through; an element relocating between buckets during the walk is
   /// reported at its old or its new frequency (post-walk dedup keeps the
   /// higher estimate, each key at most once), and an element admitted or
-  /// evicted mid-walk may be missing. Every reported count is one the
-  /// element genuinely held during the call — never a torn value. A bucket
-  /// under sustained mutation is retried a few times, then read without
-  /// the lease (counted as "summary.snapshot_fallbacks").
+  /// evicted mid-walk may be missing. A node recycled by an overwrite
+  /// mid-walk is reported once, at its highest reading, so the counts sum
+  /// to at most the summary's mass at the end of the call. Every reported
+  /// count is one the element genuinely held during the call — never a
+  /// torn value. A bucket under sustained mutation is retried a few times,
+  /// then read without the lease (counted as "summary.snapshot_fallbacks").
   std::vector<Counter> CountersDescending(EpochParticipant* participant) const;
 
   /// True when no delegated work remains anywhere: every bucket (sentinel

@@ -3,7 +3,6 @@
 #include <cassert>
 #include <thread>
 
-#include "core/published_view.h"
 #include "cots/inflight_scope.h"
 #include "util/failpoint.h"
 #include "util/metrics.h"
@@ -67,12 +66,14 @@ Status CotsFleetOptions::Validate() {
 CotsFleet::CotsFleet(const CotsFleetOptions& options)
     : options_(ValidatedOptions(options)),
       view_epochs_(options_.engine.max_threads),
-      view_refresh_interval_(options_.view_refresh_interval) {
+      view_query_participant_(view_epochs_.Register()),
+      view_(options_.view_refresh_interval,
+            [this](EpochParticipant*) { return GlobalView(); },
+            &view_query_mu_, view_query_participant_) {
   shards_.reserve(options_.num_shards);
   for (size_t s = 0; s < options_.num_shards; ++s) {
     shards_.push_back(std::make_unique<CotsSpaceSaving>(options_.engine));
   }
-  view_query_participant_ = view_epochs_.Register();
   assert(view_query_participant_ != nullptr);
 }
 
@@ -82,9 +83,8 @@ CotsFleet::~CotsFleet() {
   // fleet-level offer is mid-dispatch while shards tear down.
   Stop();
   // All handles are destroyed before the fleet (API contract), so no view
-  // pin can be live; the current view is freed directly and retired
-  // predecessors drain with the epoch domain.
-  delete published_view_.exchange(nullptr, std::memory_order_acq_rel);
+  // pin can be live; view_ frees the current view and retired predecessors
+  // drain with the epoch domain.
   if (view_query_participant_ != nullptr) {
     view_epochs_.Unregister(view_query_participant_);
   }
@@ -163,7 +163,7 @@ bool CotsFleet::ThreadHandle::Offer(ElementId e, uint64_t weight) {
   // The fleet handshake was won, so the shard is still Running (Stop()
   // cannot pass the inflight wait until this scope exits).
   assert(counted);
-  fleet_->MaybeAutoRefresh(view_participant_, weight);
+  fleet_->view_.MaybeAutoRefresh(view_participant_, weight);
   return counted;
 }
 
@@ -182,7 +182,7 @@ OfferOutcome CotsFleet::ThreadHandle::OfferBatchBounded(
     COTS_FAILPOINT("fleet.dispatch_shard");
     const OfferOutcome outcome = shards_[0]->OfferBatchBounded(elements, count);
     assert(outcome != OfferOutcome::kRefused);
-    fleet_->MaybeAutoRefresh(view_participant_, count);
+    fleet_->view_.MaybeAutoRefresh(view_participant_, count);
     return outcome;
   }
   // One pass partitions the batch while keeping per-shard arrival order;
@@ -207,7 +207,7 @@ OfferOutcome CotsFleet::ThreadHandle::OfferBatchBounded(
     if (outcome == OfferOutcome::kOverloaded) overloaded = true;
   }
   COTS_HISTOGRAM_RECORD("fleet.batch_shards_touched", touched);
-  fleet_->MaybeAutoRefresh(view_participant_, count);
+  fleet_->view_.MaybeAutoRefresh(view_participant_, count);
   // One slow shard makes the whole fleet batch late: report it so the
   // caller can shed before the backlog compounds.
   return overloaded ? OfferOutcome::kOverloaded : OfferOutcome::kAccepted;
@@ -230,37 +230,18 @@ size_t CotsFleet::ThreadHandle::num_counters() const {
 }
 
 const PublishedView* CotsFleet::ThreadHandle::AcquireQueryView() const {
-  // Same protocol as the engine handle's: the pin must precede the load so
-  // a view retired after our Enter cannot be freed until we release.
-  view_participant_->Enter();
-  const PublishedView* view =
-      fleet_->published_view_.load(std::memory_order_acquire);
-  if (view == nullptr) view_participant_->Exit();
-  return view;
+  return fleet_->view_.Acquire(view_participant_);
 }
 
 void CotsFleet::ThreadHandle::ReleaseQueryView() const {
-  view_participant_->Exit();
+  fleet_->view_.Release(view_participant_);
 }
 
 CounterSet CotsFleet::GlobalView() const {
-  std::vector<const FrequencySummary*> views;
-  std::vector<uint64_t> mins;
-  std::vector<uint64_t> sheds;
-  views.reserve(shards_.size());
-  mins.reserve(shards_.size());
-  sheds.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    views.push_back(shard.get());
-    // Shed weight read before MinFreq: MinFreq() already folds the shard's
-    // shed weight, and reading shed first keeps the pair conservative (a
-    // concurrent AbsorbShed can only make the min bound wider than the
-    // per-key widening, never narrower).
-    sheds.push_back(shard->shed_weight());
-    mins.push_back(shard->MinFreq());
-  }
-  return MergeSerial(views, mins, options_.merge_capacity,
-                     MergeMode::kDisjoint, &sheds);
+  std::vector<CounterSet> parts;
+  parts.reserve(shards_.size());
+  for (const auto& shard : shards_) parts.push_back(shard->SharedSnapshot());
+  return MergeDisjoint(parts, options_.merge_capacity);
 }
 
 bool CotsFleet::Shed(const ElementId* elements, size_t count) {
@@ -310,10 +291,9 @@ std::vector<Counter> CotsFleet::CountersDescending() const {
 }
 
 uint64_t CotsFleet::stream_length() const {
-  // O(shards) atomic fold. Point queries served from the published view
-  // never pay this — the view caches the sum at refresh time — so the fold
-  // runs once per refresh (and for callers that want the live figure), not
-  // once per IsElementFrequent threshold computation.
+  // O(shards) atomic fold for callers that want the live figure. Point
+  // queries served from the published view never pay it: the view caches
+  // N, summed from the shard snapshots at refresh time.
   uint64_t n = 0;
   for (const auto& shard : shards_) n += shard->stream_length();
   return n;
@@ -326,79 +306,11 @@ size_t CotsFleet::num_counters() const {
 }
 
 const PublishedView* CotsFleet::AcquireQueryView() const {
-  view_query_mu_.lock();
-  view_query_participant_->Enter();
-  const PublishedView* view =
-      published_view_.load(std::memory_order_acquire);
-  if (view == nullptr) {
-    view_query_participant_->Exit();
-    view_query_mu_.unlock();
-  }
-  return view;
+  return view_.AcquireShared();
 }
 
-void CotsFleet::ReleaseQueryView() const {
-  view_query_participant_->Exit();
-  view_query_mu_.unlock();
-}
+void CotsFleet::ReleaseQueryView() const { view_.ReleaseShared(); }
 
-void CotsFleet::PublishView(EpochParticipant* participant) {
-  COTS_TRACE_SPAN(span, "view.publish");
-  // Stream length first (see CotsSpaceSaving::PublishView): every fleet
-  // offer that fully landed before the fold below is covered, because
-  // shards account n before mutating their summaries.
-  const uint64_t n = stream_length();
-  CounterSet global = GlobalView();
-  const uint64_t seq = view_sequence_.load(std::memory_order_relaxed) + 1;
-  span.SetArg(seq);
-  // GlobalView already folded each shard's shed weight into the merged
-  // errors and min_freq; the view carries the total for accounting.
-  const PublishedView* next =
-      PublishedView::Build(global.CountersDescending(), n, global.min_freq(),
-                           seq, global.shed_weight());
-  COTS_FAILPOINT("view.publish");
-  const PublishedView* prev =
-      published_view_.exchange(next, std::memory_order_acq_rel);
-  view_sequence_.store(seq, std::memory_order_release);
-  COTS_COUNTER_INC("view.refreshes");
-  if (prev != nullptr) {
-    EpochGuard guard(participant);
-    participant->Retire(const_cast<PublishedView*>(prev));
-  }
-}
-
-void CotsFleet::MaybeAutoRefresh(EpochParticipant* participant,
-                                 uint64_t weight) {
-  if (view_refresh_interval_ == 0) return;
-  const uint64_t before =
-      offers_since_refresh_.fetch_add(weight, std::memory_order_relaxed);
-  // See CotsSpaceSaving::MaybeAutoRefresh: view staleness in offers as
-  // observed by this thread; snapshot reports the worst thread.
-  COTS_GAUGE_SET("view.staleness_offers", before + weight);
-  if (before + weight < view_refresh_interval_) return;
-  bool expected = false;
-  if (!view_refresh_claim_.compare_exchange_strong(
-          expected, true, std::memory_order_acquire)) {
-    return;  // a concurrent refresher is already publishing a fresher view
-  }
-  offers_since_refresh_.store(0, std::memory_order_relaxed);
-  PublishView(participant);
-  view_refresh_claim_.store(false, std::memory_order_release);
-}
-
-void CotsFleet::RefreshQueryView() {
-  bool expected = false;
-  while (!view_refresh_claim_.compare_exchange_weak(
-      expected, true, std::memory_order_acquire)) {
-    expected = false;
-    std::this_thread::yield();
-  }
-  offers_since_refresh_.store(0, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(view_query_mu_);
-    PublishView(view_query_participant_);
-  }
-  view_refresh_claim_.store(false, std::memory_order_release);
-}
+void CotsFleet::RefreshQueryView() { view_.Refresh(); }
 
 }  // namespace cots

@@ -14,13 +14,14 @@
 //
 // Every occurrence of a key lands on exactly one shard, so shards share
 // nothing on the ingest path — no delegation, no queue traffic, no cache
-// lines cross shard boundaries. Global queries fold the per-shard
-// summaries counter-wise with MergeMode::kDisjoint (core/summary_merge.h):
-// each key keeps its home shard's estimate and error verbatim, and the
-// bound on a fully unmonitored key is the max of the per-shard min_freqs
-// (the key hashes to SOME shard, and that shard's bound covers it), not
-// the sum. Partitioning only tightens per-shard error: each shard sees
-// n_s <= n elements against the same m counters.
+// lines cross shard boundaries. Global queries take the union of the
+// per-shard snapshots with MergeDisjoint (core/summary_merge.h): each key
+// keeps its home shard's estimate and error verbatim, and the bound on a
+// fully unmonitored key is the max of the per-shard min_freqs (the key
+// hashes to SOME shard, and that shard's bound covers it), not the sum.
+// Partitioning only tightens per-shard error: each shard sees n_s <= n
+// elements against the same m counters. The published global view goes
+// through the same ViewPublisher as the engine's (cots/view_publisher.h).
 //
 // Lifecycle mirrors the engine (DESIGN.md §8) one level up: the fleet has
 // its own Running/Draining/Stopped state and in-flight counter, and its
@@ -42,6 +43,7 @@
 #include "core/counter.h"
 #include "core/summary_merge.h"
 #include "cots/cots_space_saving.h"
+#include "cots/view_publisher.h"
 #include "util/macros.h"
 #include "util/status.h"
 
@@ -164,9 +166,10 @@ class CotsFleet : public FrequencySummary {
   CotsSpaceSaving& shard(size_t i) { return *shards_[i]; }
   const CotsSpaceSaving& shard(size_t i) const { return *shards_[i]; }
 
-  /// Counter-wise disjoint merge of every shard (truncated to
-  /// merge_capacity counters). Live calls see a racy-but-valid snapshot;
-  /// call after Stop() for exact totals.
+  /// Disjoint merge of every shard's snapshot (truncated to
+  /// merge_capacity counters). Each shard is snapshotted in the engine's
+  /// read order (shed, counters, then min_freq and N), so live calls see a
+  /// racy-but-valid snapshot; call after Stop() for exact totals.
   CounterSet GlobalView() const;
 
   /// Bound on any unmonitored element's global frequency: the max of the
@@ -205,9 +208,7 @@ class CotsFleet : public FrequencySummary {
   void RefreshQueryView();
 
   /// The published global view's refresh number (0 = never published).
-  uint64_t query_view_sequence() const {
-    return view_sequence_.load(std::memory_order_acquire);
-  }
+  uint64_t query_view_sequence() const { return view_.sequence(); }
 
   /// Fleet-level view acquisition for unregistered threads (shared slot
   /// behind a mutex held until ReleaseQueryView). Registered threads
@@ -216,9 +217,6 @@ class CotsFleet : public FrequencySummary {
   void ReleaseQueryView() const override;
 
  private:
-  void PublishView(EpochParticipant* participant);
-  void MaybeAutoRefresh(EpochParticipant* participant, uint64_t weight);
-
   CotsFleetOptions options_;  // validated
   std::vector<std::unique_ptr<CotsSpaceSaving>> shards_;
 
@@ -229,17 +227,12 @@ class CotsFleet : public FrequencySummary {
 
   // Published global view (DESIGN.md §11). The fleet has no engine-level
   // EBR of its own, so view reclamation gets a dedicated epoch domain:
-  // readers pin a view_epochs_ slot around the pointer load, publishers
-  // retire the superseded view into it. Same publication protocol as the
-  // engine's (claim-serialized refreshers, acq_rel exchange).
+  // readers pin a view_epochs_ slot around the pointer load, and the
+  // publisher retires the superseded view into it.
   mutable EpochManager view_epochs_;
-  uint64_t view_refresh_interval_ = 0;
-  std::atomic<const PublishedView*> published_view_{nullptr};
-  std::atomic<bool> view_refresh_claim_{false};
-  std::atomic<uint64_t> offers_since_refresh_{0};
-  std::atomic<uint64_t> view_sequence_{0};
   mutable std::mutex view_query_mu_;
-  mutable EpochParticipant* view_query_participant_ = nullptr;
+  EpochParticipant* const view_query_participant_;
+  ViewPublisher view_;
 };
 
 }  // namespace cots

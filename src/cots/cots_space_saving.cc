@@ -4,7 +4,6 @@
 #include <cmath>
 #include <thread>
 
-#include "core/published_view.h"
 #include "cots/inflight_scope.h"
 #include "util/failpoint.h"
 #include "util/trace.h"
@@ -82,9 +81,11 @@ CotsSpaceSaving::CotsSpaceSaving(const CotsSpaceSavingOptions& options,
     : epochs_(options.max_threads),
       table_(TableOptions(options), &epochs_),
       summary_(SummaryOptions(options), &table_, &epochs_),
-      view_refresh_interval_(options.view_refresh_interval) {
+      query_participant_(epochs_.Register()),
+      view_(options.view_refresh_interval,
+            [this](EpochParticipant* p) { return Snapshot(p); }, &query_mu_,
+            query_participant_) {
   assert(options.capacity > 0);
-  query_participant_ = epochs_.Register();
   assert(query_participant_ != nullptr);
 }
 
@@ -92,10 +93,8 @@ CotsSpaceSaving::~CotsSpaceSaving() {
   // Quiesce before any member is torn down: no delegated work may be in a
   // queue, parked, or mid-processing while the structures destruct.
   Stop();
-  // No reader can hold a view pin past Stop-plus-handle-destruction; the
-  // current view is ours to free directly (retired predecessors drain via
-  // DrainAll below).
-  delete published_view_.exchange(nullptr, std::memory_order_acq_rel);
+  // No reader can hold a view pin past Stop-plus-handle-destruction; view_
+  // frees the current view, and retired predecessors drain via DrainAll.
   if (query_participant_ != nullptr) epochs_.Unregister(query_participant_);
   // Retired hash slots and buckets carry deleters that touch table_ and
   // summary_ memory; run them while that memory is still alive.
@@ -165,7 +164,7 @@ bool CotsSpaceSaving::ThreadHandle::Offer(ElementId e, uint64_t weight) {
   }
   // Outside the guard: a refresh snapshot pins its own epoch, and holding
   // this offer's pin across it would stall reclamation.
-  engine_->MaybeAutoRefresh(participant_, weight);
+  engine_->view_.MaybeAutoRefresh(participant_, weight);
   return true;
 }
 
@@ -246,7 +245,7 @@ OfferOutcome CotsSpaceSaving::ThreadHandle::OfferBatchBounded(
   }
   // Outside the guard (see Offer); batch epoch pins are already the
   // reclamation long pole, so the refresh must not extend them.
-  engine_->MaybeAutoRefresh(participant_, count);
+  engine_->view_.MaybeAutoRefresh(participant_, count);
   const uint64_t spilled = RequestQueue::ThreadSpills() - spills_before;
   if (COTS_UNLIKELY(options.overload_spill_budget != 0 &&
                     spilled > options.overload_spill_budget)) {
@@ -332,18 +331,11 @@ size_t CotsSpaceSaving::ThreadHandle::num_counters() const {
 }
 
 const PublishedView* CotsSpaceSaving::ThreadHandle::AcquireQueryView() const {
-  // The epoch pin must cover the pointer load: a view unreachable before
-  // our Enter() can only be freed two epochs later, so whatever we load
-  // here stays alive until ReleaseQueryView.
-  participant_->Enter();
-  const PublishedView* view =
-      engine_->published_view_.load(std::memory_order_acquire);
-  if (view == nullptr) participant_->Exit();
-  return view;
+  return engine_->view_.Acquire(participant_);
 }
 
 void CotsSpaceSaving::ThreadHandle::ReleaseQueryView() const {
-  participant_->Exit();
+  engine_->view_.Release(participant_);
 }
 
 std::optional<Counter> CotsSpaceSaving::Lookup(ElementId e) const {
@@ -369,100 +361,30 @@ uint64_t CotsSpaceSaving::MinFreq() const {
 }
 
 const PublishedView* CotsSpaceSaving::AcquireQueryView() const {
-  // The shared-slot convenience path: the mutex is held until
-  // ReleaseQueryView so the slot's epoch pin can't be dropped by a
-  // concurrent engine-level query. Registered threads use their handle's
-  // lock-free acquisition instead.
-  query_mu_.lock();
-  query_participant_->Enter();
-  const PublishedView* view =
-      published_view_.load(std::memory_order_acquire);
-  if (view == nullptr) {
-    query_participant_->Exit();
-    query_mu_.unlock();
-  }
-  return view;
+  return view_.AcquireShared();
 }
 
-void CotsSpaceSaving::ReleaseQueryView() const {
-  query_participant_->Exit();
-  query_mu_.unlock();
-}
+void CotsSpaceSaving::ReleaseQueryView() const { view_.ReleaseShared(); }
 
-void CotsSpaceSaving::PublishView(EpochParticipant* participant) {
-  COTS_TRACE_SPAN(span, "view.publish");
-  // Capture N first: an offer accounts its weight into n_ before touching
-  // the summary, so every offer fully applied when the snapshot below runs
-  // is covered by this figure (the view may additionally report length for
-  // offers still in flight — conservative for thresholds).
-  const uint64_t n = n_.load(std::memory_order_acquire);
-  // Shed weight read BEFORE the counter snapshot: sheds absorbed during
-  // the snapshot may be missing from these bounds, but they are covered by
-  // the next refresh — same staleness contract as the counters themselves.
+void CotsSpaceSaving::RefreshQueryView() { view_.Refresh(); }
+
+CounterSet CotsSpaceSaving::Snapshot(EpochParticipant* participant) const {
+  // Shed weight first: sheds absorbed during the walk are missing from
+  // these bounds and covered by the next refresh, the same staleness as
+  // the counters themselves.
   const uint64_t shed = shed_weight_.load(std::memory_order_acquire);
   std::vector<Counter> counters = summary_.CountersDescending(participant);
-  if (COTS_UNLIKELY(shed != 0)) {
-    // Fold the shed into every per-key bound: a shed occurrence of a
-    // monitored key is at most one missing increment, so widening the
-    // symmetric error keeps [count-err, count+err] valid over the full
-    // offered stream (DESIGN.md §13).
-    for (Counter& c : counters) c.error += shed;
-  }
+  // min_freq and N after the counters: min_freq only grows, so a key
+  // evicted during the walk stays under it, and offers account N before
+  // touching the summary, so the counters sum to at most N.
   const uint64_t min_freq = summary_.MinFreq(participant) + shed;
-  const uint64_t seq = view_sequence_.load(std::memory_order_relaxed) + 1;
-  span.SetArg(seq);
-  const PublishedView* next =
-      PublishedView::Build(std::move(counters), n, min_freq, seq, shed);
-  COTS_FAILPOINT("view.publish");
-  const PublishedView* prev =
-      published_view_.exchange(next, std::memory_order_acq_rel);
-  view_sequence_.store(seq, std::memory_order_release);
-  COTS_COUNTER_INC("view.refreshes");
-  if (prev != nullptr) {
-    // Readers that acquired `prev` hold epoch pins; EBR defers the free
-    // past their Exit. Retire requires an active participant.
-    EpochGuard guard(participant);
-    participant->Retire(const_cast<PublishedView*>(prev));
-  }
+  const uint64_t n = n_.load(std::memory_order_acquire);
+  return CounterSet::FromShedSummary(std::move(counters), min_freq, n, shed);
 }
 
-void CotsSpaceSaving::MaybeAutoRefresh(EpochParticipant* participant,
-                                       uint64_t weight) {
-  if (view_refresh_interval_ == 0) return;
-  const uint64_t before =
-      offers_since_refresh_.fetch_add(weight, std::memory_order_relaxed);
-  // Offers applied since the last publish = how stale the view this
-  // thread's queries would see is, in offers. kMax fold: worst thread.
-  COTS_GAUGE_SET("view.staleness_offers", before + weight);
-  if (before + weight < view_refresh_interval_) return;
-  // Single-refresher claim: if someone else is mid-publish, their view is
-  // at most an interval stale already — skip rather than queue up.
-  bool expected = false;
-  if (!view_refresh_claim_.compare_exchange_strong(
-          expected, true, std::memory_order_acquire)) {
-    return;
-  }
-  offers_since_refresh_.store(0, std::memory_order_relaxed);
-  PublishView(participant);
-  view_refresh_claim_.store(false, std::memory_order_release);
-}
-
-void CotsSpaceSaving::RefreshQueryView() {
-  // Wait out any in-flight auto-refresh: its snapshot may predate offers
-  // this caller has already observed, and the staleness contract for an
-  // explicit refresh is "reflects a refresh that began after the call".
-  bool expected = false;
-  while (!view_refresh_claim_.compare_exchange_weak(
-      expected, true, std::memory_order_acquire)) {
-    expected = false;
-    std::this_thread::yield();
-  }
-  offers_since_refresh_.store(0, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(query_mu_);
-    PublishView(query_participant_);
-  }
-  view_refresh_claim_.store(false, std::memory_order_release);
+CounterSet CotsSpaceSaving::SharedSnapshot() const {
+  std::lock_guard<std::mutex> lock(query_mu_);
+  return Snapshot(query_participant_);
 }
 
 }  // namespace cots

@@ -30,9 +30,11 @@
 #include <vector>
 
 #include "core/counter.h"
+#include "core/summary_merge.h"
 #include "cots/admission.h"
 #include "cots/concurrent_stream_summary.h"
 #include "cots/delegation_hash_table.h"
+#include "cots/view_publisher.h"
 #include "util/ebr.h"
 #include "util/macros.h"
 #include "util/status.h"
@@ -283,9 +285,7 @@ class CotsSpaceSaving : public FrequencySummary {
 
   /// The current published view's refresh number (0 = never published).
   /// Test/monitoring helper.
-  uint64_t query_view_sequence() const {
-    return view_sequence_.load(std::memory_order_acquire);
-  }
+  uint64_t query_view_sequence() const { return view_.sequence(); }
 
   /// Engine-level view acquisition for unregistered threads: takes the
   /// shared query slot's mutex and holds it until ReleaseQueryView — a
@@ -325,18 +325,18 @@ class CotsSpaceSaving : public FrequencySummary {
   struct ValidatedTag {};
   CotsSpaceSaving(const CotsSpaceSavingOptions& options, ValidatedTag);
 
+  // The fleet folds SharedSnapshot() of every shard into its global view.
+  friend class CotsFleet;
+
   std::optional<Counter> LookupWith(EpochParticipant* participant,
                                     ElementId e) const;
 
-  // Builds a view from the live structure and publishes it, retiring the
-  // superseded view through `participant`'s EBR slot. Caller must hold the
-  // refresh claim (view_refresh_claim_); `participant` must be usable from
-  // the calling thread.
-  void PublishView(EpochParticipant* participant);
-  // Auto-refresh check, called after each counted offer/batch with the
-  // occurrence weight it contributed. Never blocks: if another thread holds
-  // the refresh claim, the refresh is skipped (theirs is fresh enough).
-  void MaybeAutoRefresh(EpochParticipant* participant, uint64_t weight);
+  // The counters with the shed weight folded in, read in the order that
+  // keeps every bound sound (DESIGN.md §11.3): shed weight, then counters,
+  // then min_freq and N. `participant` must be usable from the calling
+  // thread; SharedSnapshot uses the shared query slot.
+  CounterSet Snapshot(EpochParticipant* participant) const;
+  CounterSet SharedSnapshot() const;
 
   // Destruction order matters: participants/retired garbage drain into
   // epochs_, so it must outlive table_ and summary_ (declared first =
@@ -358,18 +358,10 @@ class CotsSpaceSaving : public FrequencySummary {
 
   // Shared query slot for the virtual FrequencySummary interface.
   mutable std::mutex query_mu_;
-  mutable EpochParticipant* query_participant_ = nullptr;
+  EpochParticipant* const query_participant_;
 
-  // Epoch-published query view (DESIGN.md §11). published_view_ is written
-  // with an acq_rel exchange by the claim holder and read with acquire
-  // loads under an epoch pin; superseded views are EBR-retired, so readers
-  // never see freed memory. view_refresh_claim_ serializes refreshers
-  // (auto-refreshers skip when contended; RefreshQueryView waits).
-  uint64_t view_refresh_interval_ = 0;
-  std::atomic<const PublishedView*> published_view_{nullptr};
-  std::atomic<bool> view_refresh_claim_{false};
-  std::atomic<uint64_t> offers_since_refresh_{0};
-  std::atomic<uint64_t> view_sequence_{0};
+  // Epoch-published query view (DESIGN.md §11), retired into epochs_.
+  ViewPublisher view_;
 };
 
 }  // namespace cots

@@ -8,8 +8,10 @@
 //
 //   * conservation: counted == accepted offers, shed_weight == shed calls
 //     (nothing vanishes without accounting), and
-//   * bound soundness: every key's exact count inside the shed-widened
-//     bounds of the merged global view ("degrade, don't lie").
+//   * bound soundness: the merged global view passes the shared
+//     SpaceSavingGuaranteesHold checker (tests/support/invariants.h) —
+//     every key's exact count inside the shed-widened bounds, and every
+//     error and min_freq within N/m + shed ("degrade, don't lie").
 //
 // Round count scales with COTS_CHAOS_ROUNDS (CI runs 100). The injection
 // tests skip unless built with -DCOTS_FAILPOINTS=ON; the liveness and
@@ -29,6 +31,8 @@
 #include "cots/cots_fleet.h"
 #include "cots/cots_space_saving.h"
 #include "cots/request.h"
+#include "stream/exact_counter.h"
+#include "support/invariants.h"
 #include "util/failpoint.h"
 #include "util/random.h"
 
@@ -42,26 +46,6 @@ int ChaosRounds(int fallback) {
     if (v > 0) return static_cast<int>(v);
   }
   return fallback;
-}
-
-using ExactMap = std::unordered_map<ElementId, uint64_t>;
-
-// Asserts every exact count is inside the (already shed-folded) bounds of
-// the merged view: monitored keys two-sided, unmonitored keys <= min_freq.
-void ExpectBoundsSound(const CounterSet& view, const ExactMap& exact,
-                       int round) {
-  for (const auto& [key, truth] : exact) {
-    const auto c = view.Lookup(key);
-    if (c.has_value()) {
-      EXPECT_LE(truth, c->count + c->error)
-          << "round " << round << " key " << key;
-      EXPECT_LE(c->count, truth + c->error)
-          << "round " << round << " key " << key;
-    } else {
-      EXPECT_LE(truth, view.min_freq())
-          << "round " << round << " unmonitored key " << key;
-    }
-  }
 }
 
 // One scheduled perturbation per round, cycled by round index.
@@ -172,7 +156,7 @@ TEST(CotsChaosTest, PerturbedRoundsConserveAndStayBounded) {
     CotsFleet fleet(opt);
 
     std::mutex merge_mu;
-    ExactMap exact;
+    ExactCounter exact;
     std::atomic<uint64_t> accepted{0};
     std::atomic<uint64_t> shed{0};
     std::atomic<uint64_t> overloaded{0};
@@ -183,7 +167,7 @@ TEST(CotsChaosTest, PerturbedRoundsConserveAndStayBounded) {
         ASSERT_NE(handle, nullptr);
         Xoshiro256 rng(round_seed * 31 + static_cast<uint64_t>(t));
         ElementId batch[kBatch];
-        ExactMap local;
+        std::unordered_map<ElementId, uint64_t> local;
         uint64_t local_accepted = 0;
         uint64_t local_shed = 0;
         uint64_t local_overloaded = 0;
@@ -213,7 +197,7 @@ TEST(CotsChaosTest, PerturbedRoundsConserveAndStayBounded) {
         shed.fetch_add(local_shed, std::memory_order_relaxed);
         overloaded.fetch_add(local_overloaded, std::memory_order_relaxed);
         std::lock_guard<std::mutex> lock(merge_mu);
-        for (const auto& [k, v] : local) exact[k] += v;
+        for (const auto& [k, v] : local) exact.Offer(k, v);
       });
     }
     if (scenario == Scenario::kMidIngestStop) {
@@ -238,7 +222,9 @@ TEST(CotsChaosTest, PerturbedRoundsConserveAndStayBounded) {
     }
     ASSERT_EQ(conserved, accepted.load()) << "round " << round;
 
-    ExpectBoundsSound(fleet.GlobalView(), exact, round);
+    EXPECT_TRUE(SpaceSavingGuaranteesHold(
+        ReportOf(fleet.GlobalView(), opt.engine.capacity), exact))
+        << "round " << round;
     Failpoints::Global().DisableAll();
   }
 }
@@ -379,7 +365,7 @@ TEST(CotsShedPropertyTest, EngineViewBoundsSoundForRandomShedSchedules) {
     auto handle = engine.RegisterThread();
     ASSERT_NE(handle, nullptr);
     Xoshiro256 rng(0xabcdef + 977 * static_cast<uint64_t>(s));
-    ExactMap exact;
+    ExactCounter exact;
     ElementId batch[kBatch];
     uint64_t offered = 0;
     uint64_t shed = 0;
@@ -399,7 +385,7 @@ TEST(CotsShedPropertyTest, EngineViewBoundsSoundForRandomShedSchedules) {
         // Only counted occurrences are key-attributable; shed weight is
         // anonymous, which is exactly why it must widen EVERY bound.
       }
-      for (ElementId e : batch) ++exact[e];
+      for (ElementId e : batch) exact.Offer(e);
     }
     ASSERT_EQ(engine.stream_length(), offered);
     ASSERT_EQ(engine.shed_weight(), shed);
@@ -410,23 +396,17 @@ TEST(CotsShedPropertyTest, EngineViewBoundsSoundForRandomShedSchedules) {
     ASSERT_NE(view, nullptr);
     EXPECT_EQ(view->shed_weight(), shed);
     EXPECT_EQ(view->stream_length() + view->shed_weight(), offered + shed);
-    for (const auto& [key, truth] : exact) {
-      const auto c = view->Find(key);
-      if (c.has_value()) {
-        EXPECT_LE(truth, c->count + c->error) << "schedule " << s;
-        EXPECT_LE(c->count, truth + c->error) << "schedule " << s;
-      } else {
-        EXPECT_LE(truth, view->min_freq()) << "schedule " << s;
-      }
-    }
+    EXPECT_TRUE(
+        SpaceSavingGuaranteesHold(ReportOf(*view, opt.capacity), exact))
+        << "schedule " << s;
     handle->ReleaseQueryView();
     engine.Stop();
   }
 }
 
-// Same property across the fleet's kDisjoint merge: shed weight routed to
-// home shards must stay sound through per-shard folding, cross-shard
-// combination, and capacity truncation.
+// Same property across the fleet's disjoint merge: shed weight routed to
+// home shards must stay sound through per-shard folding, the cross-shard
+// union, and capacity truncation.
 TEST(CotsShedPropertyTest, FleetMergedBoundsSoundForRandomShedSchedules) {
   constexpr int kSchedules = 16;
   constexpr int kBatches = 250;
@@ -440,7 +420,7 @@ TEST(CotsShedPropertyTest, FleetMergedBoundsSoundForRandomShedSchedules) {
     auto handle = fleet.RegisterThread();
     ASSERT_NE(handle, nullptr);
     Xoshiro256 rng(0xfeedbeef + 131 * static_cast<uint64_t>(s));
-    ExactMap exact;
+    ExactCounter exact;
     ElementId batch[kBatch];
     uint64_t offered = 0;
     uint64_t shed = 0;
@@ -456,7 +436,7 @@ TEST(CotsShedPropertyTest, FleetMergedBoundsSoundForRandomShedSchedules) {
         ASSERT_TRUE(handle->OfferBatch(batch, kBatch));
         offered += kBatch;
       }
-      for (ElementId e : batch) ++exact[e];
+      for (ElementId e : batch) exact.Offer(e);
     }
     ASSERT_EQ(fleet.stream_length(), offered);
     ASSERT_EQ(fleet.shed_weight(), shed);
@@ -464,15 +444,9 @@ TEST(CotsShedPropertyTest, FleetMergedBoundsSoundForRandomShedSchedules) {
     const CounterSet view = fleet.GlobalView();
     EXPECT_EQ(view.shed_weight(), shed);
     EXPECT_EQ(view.stream_length(), offered);
-    for (const auto& [key, truth] : exact) {
-      const auto c = view.Lookup(key);
-      if (c.has_value()) {
-        EXPECT_LE(truth, c->count + c->error) << "schedule " << s;
-        EXPECT_LE(c->count, truth + c->error) << "schedule " << s;
-      } else {
-        EXPECT_LE(truth, view.min_freq()) << "schedule " << s;
-      }
-    }
+    EXPECT_TRUE(SpaceSavingGuaranteesHold(
+        ReportOf(view, opt.engine.capacity), exact))
+        << "schedule " << s;
     fleet.Stop();
   }
 }

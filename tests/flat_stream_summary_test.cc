@@ -20,6 +20,7 @@
 #include "core/summary_merge.h"
 #include "stream/exact_counter.h"
 #include "stream/zipf_generator.h"
+#include "support/invariants.h"
 #include "util/random.h"
 #include "util/simd.h"
 
@@ -306,7 +307,7 @@ TEST(FlatLayoutPropertyTest, LayoutsAgreeWhenEvictionIsUnambiguous) {
   EXPECT_EQ(linked.stream_length(), flat.stream_length());
 }
 
-// ---- Merges (both modes) over flat parts vs exact ground truth ----
+// ---- Overlapping and disjoint merges over flat parts vs exact truth ----
 
 TEST(FlatLayoutPropertyTest, MergesPreserveBoundsInBothModes) {
   ZipfOptions zo;
@@ -318,7 +319,7 @@ TEST(FlatLayoutPropertyTest, MergesPreserveBoundsInBothModes) {
 
   constexpr uint64_t kParts = 4;
   constexpr size_t kCapacity = 48;
-  for (MergeMode mode : {MergeMode::kOverlapping, MergeMode::kDisjoint}) {
+  for (bool disjoint : {false, true}) {
     std::vector<std::unique_ptr<SpaceSaving>> parts;
     for (uint64_t p = 0; p < kParts; ++p) {
       SpaceSavingOptions opt;
@@ -329,9 +330,18 @@ TEST(FlatLayoutPropertyTest, MergesPreserveBoundsInBothModes) {
     }
     std::mt19937_64 assign(99);
     for (size_t i = 0; i < stream.size(); ++i) {
-      const uint64_t p = mode == MergeMode::kDisjoint ? stream[i] % kParts
-                                                      : assign() % kParts;
+      const uint64_t p = disjoint ? stream[i] % kParts : assign() % kParts;
       parts[p]->Offer(stream[i]);
+    }
+    if (disjoint) {
+      std::vector<CounterSet> sets;
+      for (const auto& part : parts) {
+        sets.push_back(CounterSet::FromSummary(*part, part->MinFreq()));
+      }
+      EXPECT_TRUE(SpaceSavingGuaranteesHold(
+          ReportOf(MergeDisjoint(sets, kCapacity), kCapacity), exact))
+          << "disjoint";
+      continue;
     }
     std::vector<const FrequencySummary*> views;
     std::vector<uint64_t> mins;
@@ -340,13 +350,11 @@ TEST(FlatLayoutPropertyTest, MergesPreserveBoundsInBothModes) {
       mins.push_back(part->MinFreq());
     }
     for (bool hierarchical : {false, true}) {
-      CounterSet merged =
-          hierarchical ? MergeHierarchical(views, mins, kCapacity, mode)
-                       : MergeSerial(views, mins, kCapacity, mode);
-      SCOPED_TRACE(testing::Message()
-                   << (mode == MergeMode::kDisjoint ? "disjoint"
-                                                    : "overlapping")
-                   << (hierarchical ? " hierarchical" : " serial"));
+      CounterSet merged = hierarchical
+                              ? MergeHierarchical(views, mins, kCapacity)
+                              : MergeSerial(views, mins, kCapacity);
+      SCOPED_TRACE(hierarchical ? "overlapping hierarchical"
+                                : "overlapping serial");
       EXPECT_EQ(merged.stream_length(), n);
       for (const Counter& c : merged.counters()) {
         const uint64_t truth = exact.Count(c.key);

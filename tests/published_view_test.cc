@@ -6,16 +6,18 @@
 #include <vector>
 
 #include "core/counter.h"
+#include "core/summary_merge.h"
 
 namespace cots {
 namespace {
 
-// Owns a Build() result for the duration of a test.
+// Owns a Build() result for the duration of a test. The input goes
+// through a CounterSet, the only thing a view is built from.
 std::unique_ptr<const PublishedView> MakeView(std::vector<Counter> counters,
                                               uint64_t n, uint64_t min_freq,
                                               uint64_t seq) {
-  return std::unique_ptr<const PublishedView>(
-      PublishedView::Build(std::move(counters), n, min_freq, seq));
+  return std::unique_ptr<const PublishedView>(PublishedView::Build(
+      CounterSet(std::move(counters), min_freq, n), seq));
 }
 
 TEST(PublishedViewTest, EmptyView) {
@@ -29,7 +31,8 @@ TEST(PublishedViewTest, EmptyView) {
 }
 
 TEST(PublishedViewTest, SortsInputAndProbesEveryKey) {
-  // Unsorted on purpose: Build must order by (count desc, key asc).
+  // Unsorted on purpose: the view must come out ordered by (count desc,
+  // key asc), the order CounterSet establishes.
   std::vector<Counter> in = {
       {5, 10, 1}, {1, 50, 0}, {9, 10, 2}, {3, 30, 3}, {7, 20, 0}};
   auto view = MakeView(in, 120, 4, 7);

@@ -322,6 +322,18 @@ TEST(FleetQueryViewTest, AutoRefreshAndConcurrentQueries) {
         queries.IsElementFrequent(e, 0.01);
         queries.IsElementInTopK(e, 4);
       }
+      // Mid-ingest views must be internally consistent too: each shard's
+      // N is read after its counters, so stream_length covers the
+      // monitored mass.
+      const PublishedView* view = handle->AcquireQueryView();
+      if (view != nullptr) {
+        uint64_t monitored = 0;
+        for (size_t r = 0; r < view->size(); ++r) {
+          monitored += view->At(r).count;
+        }
+        EXPECT_LE(monitored, view->stream_length());
+        handle->ReleaseQueryView();
+      }
     }
   });
 

@@ -9,6 +9,7 @@
 #include "core/space_saving.h"
 #include "stream/exact_counter.h"
 #include "stream/zipf_generator.h"
+#include "support/invariants.h"
 
 namespace cots {
 namespace {
@@ -36,7 +37,8 @@ TEST(CounterSetTest, FromShedSummaryWidensEveryError) {
   ss.Process({1, 1, 2});
   // min_freq must arrive already shed-folded (engine MinFreq() does it);
   // FromShedSummary only widens the per-counter errors.
-  CounterSet set = CounterSet::FromShedSummary(ss, ss.MinFreq() + 5, 5);
+  CounterSet set = CounterSet::FromShedSummary(
+      ss.CountersDescending(), ss.MinFreq() + 5, ss.stream_length(), 5);
   EXPECT_EQ(set.stream_length(), 3u);
   EXPECT_EQ(set.shed_weight(), 5u);
   EXPECT_EQ(set.Lookup(1)->count, 2u);
@@ -44,7 +46,8 @@ TEST(CounterSetTest, FromShedSummaryWidensEveryError) {
   EXPECT_EQ(set.Lookup(2)->error, 5u);
   EXPECT_EQ(set.min_freq(), 5u);
   // Zero shed degenerates to the plain snapshot.
-  CounterSet plain = CounterSet::FromShedSummary(ss, ss.MinFreq(), 0);
+  CounterSet plain = CounterSet::FromShedSummary(
+      ss.CountersDescending(), ss.MinFreq(), ss.stream_length(), 0);
   EXPECT_EQ(plain.Lookup(1)->error, 0u);
   EXPECT_EQ(plain.shed_weight(), 0u);
 }
@@ -54,38 +57,38 @@ TEST(CombineTest, ShedWeightSumsAndRaisesTruncationBound) {
   CounterSet a({{1, 10, 3}, {3, 2, 3}}, /*min_freq=*/3, /*n=*/12,
                /*shed_weight=*/3);
   CounterSet b({{2, 8, 0}}, /*min_freq=*/0, /*n=*/8, /*shed_weight=*/0);
-  CounterSet m = CombineCounterSets(a, b, 2, MergeMode::kDisjoint);
+  CounterSet m = MergeDisjoint({a, b}, 2);
   EXPECT_EQ(m.shed_weight(), 3u);
   EXPECT_EQ(m.stream_length(), 20u);
   // Truncation dropped key 3 (estimate 2): a key dropped at estimate e may
   // truly have up to e + total shed occurrences, so the raised bound must
   // include the shed weight.
   EXPECT_FALSE(m.Lookup(3).has_value());
-  EXPECT_GE(m.min_freq(), 2u + 3u);
+  EXPECT_EQ(m.min_freq(), 2u + 3u);
 }
 
-TEST(MergeTest, SerialMergeFoldsPerPartShedWeights) {
+TEST(MergeTest, DisjointMergeKeepsPerPartShedWeights) {
   SpaceSaving p0 = MakeWithCapacity(4);
   SpaceSaving p1 = MakeWithCapacity(4);
   p0.Process({1, 1, 1, 2});
   p1.Process({3, 3, 4});
-  const std::vector<const FrequencySummary*> parts = {&p0, &p1};
-  // Shard 0 shed 2 occurrences; min_freqs arrive pre-folded as the engine
-  // publishes them.
-  const std::vector<uint64_t> sheds = {2, 0};
-  const std::vector<uint64_t> mins = {p0.MinFreq() + 2, p1.MinFreq()};
-  const CounterSet merged =
-      MergeSerial(parts, mins, 0, MergeMode::kDisjoint, &sheds);
+  // Shard 0 shed 2 occurrences (one of key 2, one of key 9); its min_freq
+  // arrives pre-folded as the engine publishes it.
+  const std::vector<CounterSet> parts = {
+      CounterSet::FromShedSummary(p0.CountersDescending(), p0.MinFreq() + 2,
+                                  p0.stream_length(), 2),
+      CounterSet::FromShedSummary(p1.CountersDescending(), p1.MinFreq(),
+                                  p1.stream_length(), 0)};
+  const CounterSet merged = MergeDisjoint(parts, 0);
   EXPECT_EQ(merged.shed_weight(), 2u);
   // Shard-0 keys carry shard-0's shed in their error; shard-1 keys don't.
   EXPECT_EQ(merged.Lookup(1)->count, 3u);
   EXPECT_EQ(merged.Lookup(1)->error, 2u);
   EXPECT_EQ(merged.Lookup(3)->error, 0u);
-  const CounterSet hier =
-      MergeHierarchical(parts, mins, 0, MergeMode::kDisjoint, &sheds);
-  EXPECT_EQ(hier.shed_weight(), 2u);
-  EXPECT_EQ(hier.Lookup(1)->error, 2u);
-  EXPECT_EQ(hier.Lookup(3)->error, 0u);
+  EXPECT_EQ(merged.min_freq(), 2u);
+
+  ExactCounter truth(Stream{1, 1, 1, 2, 3, 3, 4, 2, 9});
+  EXPECT_TRUE(SpaceSavingGuaranteesHold(ReportOf(merged, 4), truth));
 }
 
 TEST(CombineTest, DisjointKeysAddMinFreqBounds) {
@@ -101,10 +104,10 @@ TEST(CombineTest, DisjointKeysAddMinFreqBounds) {
   EXPECT_EQ(m.min_freq(), 5u);
 }
 
-TEST(CombineTest, DisjointModeSkipsAbsentSideInflation) {
+TEST(MergeTest, DisjointUnionSkipsAbsentSideInflation) {
   CounterSet a({{1, 10, 1}}, /*min_freq=*/2, /*n=*/12);
   CounterSet b({{2, 8, 0}}, /*min_freq=*/3, /*n=*/11);
-  CounterSet m = CombineCounterSets(a, b, 0, MergeMode::kDisjoint);
+  CounterSet m = MergeDisjoint({a, b}, 0);
   EXPECT_EQ(m.stream_length(), 23u);
   // Hash-partitioned shards never see each other's keys: the absent side
   // contributes nothing, so per-shard counts and errors pass through.
@@ -223,15 +226,15 @@ TEST(MergeTest, HierarchicalMatchesSerialForPowerOfTwo) {
 }
 
 // Property test: under any randomized split of a stream into parts — an
-// occurrence-level random split merged with kOverlapping, and a
-// key-partitioned split merged with kDisjoint — the merged CounterSet keeps
-// the Space Saving contract versus ground truth even after truncation back
-// down to `capacity`:
+// occurrence-level random split merged serially and hierarchically, and a
+// key-partitioned split merged with MergeDisjoint — the merged CounterSet
+// keeps the Space Saving contract versus ground truth even after
+// truncation back down to `capacity`:
 //   est >= true and est - err <= true for monitored keys;
 //   true <= min_freq for unmonitored keys.
-// This is the guarantee CotsFleet's global view rests on, so it is checked
-// across randomized part counts, capacities, and skews rather than one
-// hand-picked split.
+// The disjoint merge is what CotsFleet's global view rests on, so it is
+// held to the full SpaceSavingGuaranteesHold checker, across randomized
+// part counts, capacities, and skews rather than one hand-picked split.
 TEST(MergeTest, RandomSplitsPreserveBoundsAfterTruncation) {
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     std::mt19937_64 rng(seed * 0x9E3779B97F4A7C15ull);
@@ -250,7 +253,7 @@ TEST(MergeTest, RandomSplitsPreserveBoundsAfterTruncation) {
     // produced the parts (tie-breaking during eviction differs, the bounds
     // may not).
     for (SummaryLayout layout : {SummaryLayout::kLinked, SummaryLayout::kFlat})
-    for (MergeMode mode : {MergeMode::kOverlapping, MergeMode::kDisjoint}) {
+    for (bool disjoint : {false, true}) {
       std::vector<std::unique_ptr<SpaceSaving>> parts;
       for (uint64_t p = 0; p < parts_count; ++p) {
         SpaceSavingOptions sso;
@@ -261,15 +264,30 @@ TEST(MergeTest, RandomSplitsPreserveBoundsAfterTruncation) {
       }
       std::mt19937_64 assign(seed);
       for (size_t i = 0; i < s.size(); ++i) {
-        // kDisjoint requires every occurrence of a key to land on one part
-        // (as CotsFleet's hash partitioning does); kOverlapping permits any
-        // occurrence-level split.
-        const uint64_t p = mode == MergeMode::kDisjoint
-                               ? s[i] % parts_count
-                               : assign() % parts_count;
+        // MergeDisjoint requires every occurrence of a key to land on one
+        // part (as CotsFleet's hash partitioning does); the overlapping
+        // merges permit any occurrence-level split.
+        const uint64_t p =
+            disjoint ? s[i] % parts_count : assign() % parts_count;
         parts[p]->Offer(s[i]);
       }
 
+      SCOPED_TRACE(testing::Message()
+                   << "seed=" << seed << " parts=" << parts_count
+                   << " capacity=" << capacity
+                   << " layout=" << SummaryLayoutName(layout)
+                   << (disjoint ? " disjoint" : " overlapping"));
+      if (disjoint) {
+        std::vector<CounterSet> sets;
+        for (const auto& part : parts) {
+          sets.push_back(CounterSet::FromSummary(*part, part->MinFreq()));
+        }
+        const CounterSet merged = MergeDisjoint(sets, capacity);
+        EXPECT_LE(merged.num_counters(), capacity);
+        EXPECT_TRUE(
+            SpaceSavingGuaranteesHold(ReportOf(merged, capacity), exact));
+        continue;
+      }
       std::vector<const FrequencySummary*> views;
       std::vector<uint64_t> mins;
       for (const auto& part : parts) {
@@ -278,15 +296,9 @@ TEST(MergeTest, RandomSplitsPreserveBoundsAfterTruncation) {
       }
       for (bool hierarchical : {false, true}) {
         CounterSet merged =
-            hierarchical ? MergeHierarchical(views, mins, capacity, mode)
-                         : MergeSerial(views, mins, capacity, mode);
-        SCOPED_TRACE(testing::Message()
-                     << "seed=" << seed << " parts=" << parts_count
-                     << " capacity=" << capacity << " layout="
-                     << SummaryLayoutName(layout) << " mode="
-                     << (mode == MergeMode::kDisjoint ? "disjoint"
-                                                      : "overlapping")
-                     << (hierarchical ? " hierarchical" : " serial"));
+            hierarchical ? MergeHierarchical(views, mins, capacity)
+                         : MergeSerial(views, mins, capacity);
+        SCOPED_TRACE(hierarchical ? "hierarchical" : "serial");
         EXPECT_EQ(merged.stream_length(), n);
         EXPECT_LE(merged.num_counters(), capacity);
         for (const Counter& c : merged.counters()) {

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "core/counter.h"
+#include "core/published_view.h"
 #include "core/summary_merge.h"
 #include "cots/cots_space_saving.h"
 #include "stream/exact_counter.h"
@@ -64,6 +65,12 @@ inline ReportedSummary ReportOf(const CotsSpaceSaving& engine) {
 /// checked.
 inline ReportedSummary ReportOf(const CounterSet& view, size_t capacity) {
   return {view.counters(),      view.min_freq(),    capacity,
+          view.stream_length(), view.shed_weight(), /*all_counters=*/false};
+}
+
+/// A published query view, read like a merged one.
+inline ReportedSummary ReportOf(const PublishedView& view, size_t capacity) {
+  return {view.CountersDescending(), view.min_freq(), capacity,
           view.stream_length(), view.shed_weight(), /*all_counters=*/false};
 }
 
